@@ -23,12 +23,9 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .evaluate import (
     EvaluationError,
     Trajectory,
-    _associate,
     align_initial,
     drift_metrics,
 )
@@ -53,7 +50,7 @@ from .logio import (
     write_sensor_log,
     write_trajectory,
 )
-from .shape import CableMeasurements, ShapeError, ShapeSolverConfig
+from .shape import CableMeasurements, ShapeError
 from .simulator import SimConfig, SimulationError, corrupt, generate
 
 log = logging.getLogger("tenseg")
@@ -137,7 +134,7 @@ def cmd_estimate(args, cfg):
         FilterConfig(
             debounce_on=config_get(cfg, "debounce_on", 2, int),
             debounce_off=config_get(cfg, "debounce_off", 2, int),
-            noise=noise, solver=ShapeSolverConfig()))
+            noise=noise))
     ts, ps, Rs = [], [], []
     for e in events:
         if e.timestamp <= t_start:
@@ -175,11 +172,9 @@ def cmd_evaluate(args, cfg):
     with open(os.path.join(args.out_dir, "metrics.json"), "w") as f:
         json.dump(report.as_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    idx, ok = _associate(aligned, ref, 0.005)
-    err = ref.positions[ok] - aligned.positions[idx[ok]]
     with open(os.path.join(args.out_dir, "errors.csv"), "w") as f:
         f.write("t,ex,ey,ez\n")
-        for t, e in zip(ref.timestamps[ok], err):
+        for t, e in zip(report.timestamps, report.position_errors):
             f.write("%s,%s,%s,%s\n" % tuple(repr(float(v))
                                             for v in (t, e[0], e[1], e[2])))
     log.info("drift %.2f%% over %.2f m (RPE %.4f m/m)",

@@ -10,9 +10,11 @@ error over consecutive one-meter segments of ground-truth arc length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .liegroup import project_rotation
 
 
 class EvaluationError(Exception):
@@ -62,6 +64,9 @@ class MetricsReport:
     drift_pct: float
     rpe_rmse: float
     n_segments: int
+    # matched reference samples, reference-minus-estimate (not in as_dict)
+    timestamps: np.ndarray = field(default=None, compare=False, repr=False)
+    position_errors: np.ndarray = field(default=None, compare=False, repr=False)
 
     def as_dict(self):
         return {
@@ -94,18 +99,6 @@ def _associate(est: Trajectory, ref: Trajectory, tolerance):
     return idx, ok
 
 
-def _umeyama(src, dst):
-    """Rigid rotation + translation (no scale) minimizing |dst - (R src + t)|."""
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    H = (dst - cd).T @ (src - cs)
-    U, _, Vt = np.linalg.svd(H)
-    D = np.eye(3)
-    D[2, 2] = np.sign(np.linalg.det(U @ Vt))
-    R = U @ D @ Vt
-    return R, cd - R @ cs
-
-
 def align_initial(est: Trajectory, ref: Trajectory, window=3.0,
                   tolerance=0.005):
     """Rigidly align the estimate to the reference over an initial window.
@@ -123,19 +116,15 @@ def align_initial(est: Trajectory, ref: Trajectory, window=3.0,
     sel = ok & (ref.timestamps <= t0 + window)
     dst = ref.positions[sel]
     src = est.positions[idx[sel]]
+    cd, cs = dst.mean(axis=0), src.mean(axis=0)
     if est.rotations is not None and ref.rotations is not None:
-        M = np.einsum("nij,nkj->ik", ref.rotations[sel],
-                      est.rotations[idx[sel]])
-        U, _, Vt = np.linalg.svd(M)
-        D = np.eye(3)
-        D[2, 2] = np.sign(np.linalg.det(U @ Vt))
-        R = U @ D @ Vt
-        t = dst.mean(axis=0) - R @ src.mean(axis=0)
-    elif np.max(np.linalg.norm(dst - dst.mean(axis=0), axis=1)) > 1e-3:
-        R, t = _umeyama(src, dst)
+        R = project_rotation(np.einsum("nij,nkj->ik", ref.rotations[sel],
+                                       est.rotations[idx[sel]]))
+    elif np.max(np.linalg.norm(dst - cd, axis=1)) > 1e-3:
+        R = project_rotation((dst - cd).T @ (src - cs))   # Umeyama, no scale
     else:
         R = np.eye(3)
-        t = dst.mean(axis=0) - R @ src.mean(axis=0)
+    t = cd - R @ cs
     aligned = Trajectory(
         est.timestamps, (R @ est.positions.T).T + t,
         None if est.rotations is None else np.einsum("ij,njk->nik", R,
@@ -169,6 +158,8 @@ def drift_metrics(est: Trajectory, ref: Trajectory, segment_length=1.0,
         drift_pct=drift_percent(final_error, path_length),
         rpe_rmse=rpe,
         n_segments=len(errors),
+        timestamps=ref.timestamps[ok],
+        position_errors=ref_pos - est_pos,
     )
 
 

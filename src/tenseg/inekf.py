@@ -20,19 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import chi2
 
 from .liegroup import (
     GroupElement,
-    adjoint,
     compose,
     inverse,
+    rotation_to_z,
     sek3_exp,
     sek3_log,
     skew,
     so3_exp,
 )
-from .shape import RobotShape, h_p, h_R
+from .shape import RobotShape, ShapeSolverConfig, h_p, h_R
 
 
 class FilterError(Exception):
@@ -106,8 +105,8 @@ class NoiseConfig:
             raise ValueError("fk_covariance_mode must be 'empirical' or 'jacobian'")
 
 
-# Outlier gate: chi-square 99.9% quantile, 3 dof.
-CHI2_GATE_3DOF = float(chi2.ppf(0.999, 3))
+# Outlier gate: chi-square 99.9% quantile, 3 dof (scipy's chi2.ppf(0.999, 3)).
+CHI2_GATE_3DOF = 16.26623619623813
 MAX_CONDITION = 1e12
 MAX_DT = 0.1
 
@@ -202,12 +201,15 @@ def init_bias_calibration(stationary, duration, cfg: NoiseConfig):
     unobservable and absorbed into roll/pitch.
     """
     samples = [s for s in stationary if s.timestamp <= stationary[0].timestamp + duration]
-    if len(samples) < 2 or samples[-1].timestamp - samples[0].timestamp < 1.0:
+    t = np.array([s.timestamp for s in samples])
+    dt = np.median(np.diff(t)) if t.size >= 2 else 0.0
+    # each sample reports the dt before it, so the window holds its span
+    # plus dt of data; half a sample of slack absorbs timestamp rounding
+    if t.size < 2 or t[-1] - t[0] + dt < 1.0 - 0.5 * dt:
         raise CalibrationError("need at least 1 s of stationary samples")
     gyro = np.array([s.gyro for s in samples])
     accel = np.array([s.accel for s in samples])
     # white-noise densities scale to sample std by 1/sqrt(dt)
-    dt = np.median(np.diff([s.timestamp for s in samples]))
     root = 1.0 / np.sqrt(max(dt, 1e-6))
     if np.any(gyro.std(axis=0) > 5 * cfg.sigma_gyro * root + 1e-12) or \
        np.any(accel.std(axis=0) > 5 * cfg.sigma_accel * root + 1e-12):
@@ -218,15 +220,7 @@ def init_bias_calibration(stationary, duration, cfg: NoiseConfig):
     n = np.linalg.norm(a_mean)
     if n < 0.5 * g_mag:
         raise CalibrationError("mean specific force inconsistent with gravity")
-    u = a_mean / n
-    # minimal rotation with R0 @ u = e_z (zero yaw)
-    axis = np.cross(u, [0.0, 0.0, 1.0])
-    s = np.linalg.norm(axis)
-    c = u[2]
-    if s < 1e-12:
-        R0 = np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    else:
-        R0 = so3_exp(axis / s * np.arctan2(s, c))
+    R0 = rotation_to_z(a_mean / n)   # zero yaw
     ba = a_mean - R0.T @ (-cfg.gravity)
     return ImuBias(accel=ba, gyro=bg), R0
 
@@ -442,12 +436,9 @@ class FilterConfig:
     debounce_on: int = 2     # consecutive in-contact samples before augmenting
     debounce_off: int = 2    # consecutive off-contact samples before dropping
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    solver: "object" = None  # ShapeSolverConfig; default constructed lazily
+    solver: ShapeSolverConfig = field(default_factory=ShapeSolverConfig)
 
     def __post_init__(self):
-        if self.solver is None:
-            from .shape import ShapeSolverConfig
-            object.__setattr__(self, "solver", ShapeSolverConfig())
         if self.debounce_on < 1 or self.debounce_off < 1:
             raise ValueError("debounce counts must be >= 1")
 

@@ -12,7 +12,7 @@ length 3*(1+K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,20 @@ def so3_left_jacobian(phi):
     a = (1.0 - np.cos(theta)) / theta**2
     b = (theta - np.sin(theta)) / theta**3
     return np.eye(3) + a * S + b * (S @ S)
+
+
+def rotation_to_z(u):
+    """Minimal rotation R with R @ u == e_z for a unit vector u.
+
+    Antiparallel u (u == -e_z) has no unique minimal rotation; the half
+    turn about the x-axis is used.
+    """
+    axis = np.cross(u, [0.0, 0.0, 1.0])
+    s = np.linalg.norm(axis)
+    c = u[2]
+    if s < 1e-12:
+        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+    return so3_exp(axis / s * np.arctan2(s, c))
 
 
 def project_rotation(R):

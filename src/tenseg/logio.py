@@ -16,9 +16,9 @@ pose.  Configs are flat "key = value" lines with '#' comments.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from . import __version__
 from .inekf import ContactVector, ImuSample
@@ -121,9 +121,43 @@ def write_trajectory(path, timestamps, positions, rotations):
     """TUM format: t x y z qx qy qz qw, repr-precision floats."""
     with open(path, "w") as f:
         for t, p, R in zip(timestamps, positions, rotations):
-            q = Rotation.from_matrix(R).as_quat()  # x, y, z, w
-            vals = [t, p[0], p[1], p[2], q[0], q[1], q[2], q[3]]
+            vals = [t, p[0], p[1], p[2], *_quat_from_matrix(R)]
             f.write(" ".join(repr(float(v)) for v in vals) + "\n")
+
+
+def _quat_from_matrix(R):
+    """Unit quaternion (x, y, z, w) of an orthonormal matrix by Shepperd's
+    method.  It and _matrix_from_quat repeat scipy's Rotation operation for
+    operation, so TUM files are bit-identical to ones written by scipy."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = \
+        np.asarray(R, dtype=float).tolist()
+    trace = m00 + m11 + m22
+    decision = (m00, m11, m22, trace)
+    choice = decision.index(max(decision))
+    if choice == 0:
+        x, y, z, w = 1 - trace + 2 * m00, m10 + m01, m20 + m02, m21 - m12
+    elif choice == 1:
+        x, y, z, w = m10 + m01, 1 - trace + 2 * m11, m21 + m12, m02 - m20
+    elif choice == 2:
+        x, y, z, w = m20 + m02, m21 + m12, 1 - trace + 2 * m22, m10 - m01
+    else:
+        x, y, z, w = m21 - m12, m02 - m20, m10 - m01, 1 + trace
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    return x / n, y / n, z / n, w / n
+
+
+def _matrix_from_quat(q):
+    """Rotation matrix (nested lists) of the normalized quaternion q."""
+    x, y, z, w = q
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    if not 0.0 < n < math.inf:
+        raise ValueError("quaternion is zero or not finite")
+    x, y, z, w = x / n, y / n, z / n, w / n
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return [[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]]
 
 
 def read_trajectory(path):
@@ -140,11 +174,11 @@ def read_trajectory(path):
                     f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
             try:
                 vals = [float(x) for x in parts]
+                Rs.append(_matrix_from_quat(vals[4:8]))
             except ValueError as err:
                 raise LogFormatError(f"{path}:{lineno}: bad number ({err})")
             ts.append(vals[0])
             ps.append(vals[1:4])
-            Rs.append(Rotation.from_quat(vals[4:8]).as_matrix())
     if len(ts) < 2:
         raise LogFormatError(f"{path}: trajectory needs at least two poses")
     return np.array(ts), np.array(ps), np.array(Rs)

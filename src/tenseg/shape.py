@@ -19,9 +19,11 @@ J_p (finite-difference Jacobian of h_p w.r.t. the cable lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .liegroup import rotation_to_z
 
 # Endcap pairs connected by actuated cables: three top side cables,
 # three bottom side cables, three cross cables.
@@ -120,8 +122,6 @@ class ShapeSolverConfig:
     mu_factor: float = 10.0
     mu_max: float = 1e9
     triangle_tol: float = 1e-3          # slack for the cable triangle check
-    cable_offset: float = 0.0           # additive per-cable calibration [m]
-    endcap_radius: float = 0.0          # optional contact offset, off by default
     fd_step: float = 1e-4               # J_p central-difference step [m]
 
     def __post_init__(self):
@@ -162,15 +162,7 @@ def prism_from_parameters(cfg: ShapeSolverConfig, radius, twist):
         q[bot_id] = [radius * np.cos(a_bot), radius * np.sin(a_bot), -h / 2.0]
 
     # Rigid transform: base rod axis to +z, rod midpoint to [0, 0, -d_offset].
-    u = (q[0] - q[1]) / L
-    axis = np.cross(u, [0.0, 0.0, 1.0])
-    s = np.linalg.norm(axis)
-    c = u[2]
-    if s < 1e-12:
-        R = np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    else:
-        from .liegroup import so3_exp
-        R = so3_exp(axis / s * np.arctan2(s, c))
+    R = rotation_to_z((q[0] - q[1]) / L)
     mid = (q[0] + q[1]) / 2.0
     q = (q - mid) @ R.T
     q[:, 2] -= cfg.d_offset
@@ -510,12 +502,11 @@ def reconstruct_shape(meas: CableMeasurements, prior: RobotShape | None,
 
 
 def _reconstruct_once(meas, prior, cfg):
-    lengths_by_pair = {p: l + cfg.cable_offset for p, l in meas.lengths.items()}
-    for p, l in lengths_by_pair.items():
+    for p, l in meas.lengths.items():
         if not (0.0 < l < 2.0 * cfg.L_rod):
             raise MeasurementRejected(f"cable {p} length {l} outside (0, 2*L_rod)")
-    _check_triangles(lengths_by_pair, cfg.triangle_tol)
-    lengths = np.array([lengths_by_pair[p] for p in CABLE_PAIRS])
+    _check_triangles(meas.lengths, cfg.triangle_tol)
+    lengths = meas.as_vector()
 
     q0, q1 = base_rod_endcaps(cfg)
     q_fixed = np.zeros((6, 3))
@@ -571,22 +562,11 @@ def _reconstruct_once(meas, prior, cfg):
 # Contact kinematics
 
 
-def h_p(shape: RobotShape, contact_endcap: int, cfg: ShapeSolverConfig | None = None,
-        accel=None):
-    """Body-frame position of the contact endcap (point-contact model).
-
-    With a configured endcap radius and an accelerometer reading, the
-    point is offset along the estimated gravity-down direction.
-    """
+def h_p(shape: RobotShape, contact_endcap: int):
+    """Body-frame position of the contact endcap (point-contact model)."""
     if not (isinstance(contact_endcap, (int, np.integer)) and 0 <= contact_endcap <= 5):
         raise ValueError(f"invalid endcap id {contact_endcap!r}")
-    p = shape.q[contact_endcap].copy()
-    if cfg is not None and cfg.endcap_radius > 0.0 and accel is not None:
-        a = np.asarray(accel, dtype=float)
-        n = np.linalg.norm(a)
-        if n > 0.5 * GRAVITY_MAG:
-            p = p - cfg.endcap_radius * (a / n)
-    return p
+    return shape.q[contact_endcap].copy()
 
 
 def h_R(shape, accel):
@@ -634,6 +614,6 @@ def J_p(meas: CableMeasurements, contact_endcap: int, cfg: ShapeSolverConfig,
             except ShapeError as e:
                 raise JacobianUnavailable(
                     f"perturbed solve failed for cable {CABLE_PAIRS[k]}: {e}") from e
-            cols.append(h_p(s, contact_endcap, cfg))
+            cols.append(h_p(s, contact_endcap))
         J[:, k] = (cols[0] - cols[1]) / (2.0 * cfg.fd_step)
     return J

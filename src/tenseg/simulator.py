@@ -22,12 +22,12 @@ rate, random-walk IMU biases, optional cable noise and contact chatter.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .inekf import ContactVector, ImuSample, NoiseConfig
-from .liegroup import so3_exp
+from .liegroup import rotation_to_z, so3_exp
 from .shape import (
     CableMeasurements,
     RobotShape,
@@ -122,13 +122,7 @@ def _initial_pose(cfg, q):
     if n @ (q.mean(axis=0) - tri.mean(axis=0)) > 0:
         n = -n              # outward (away from the body centroid)
     # minimal rotation taking the outward face normal to straight down
-    axis = np.cross(n, [0.0, 0.0, -1.0])
-    s = np.linalg.norm(axis)
-    c = -n[2]
-    if s < 1e-12:
-        R = np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    else:
-        R = so3_exp(axis / s * np.arctan2(s, c))
+    R = rotation_to_z(-n)
     w = (R @ q.T).T
     p = np.zeros(3)
     p[2] = -w[:, 2].min()   # flat patch at the origin for both terrains

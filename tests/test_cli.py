@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from tenseg.liegroup import so3_exp
 from tenseg.logio import (
     ConfigError,
     LogFormatError,
+    _matrix_from_quat,
+    _quat_from_matrix,
     config_get,
     read_config,
     read_sensor_log,
@@ -121,6 +126,80 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(t2, ts)
     np.testing.assert_array_equal(p2, ps)
     np.testing.assert_allclose(R2, Rs, atol=1e-12)
+
+
+def signed_permutation_rotations():
+    """The 24 rotations of the cube: every tie between the diagonal
+    entries and the trace that the quaternion case choice can meet."""
+    out = []
+    for perm in permutations(range(3)):
+        for signs in product((1.0, -1.0), repeat=3):
+            R = np.zeros((3, 3))
+            R[range(3), perm] = signs
+            if np.linalg.det(R) > 0:
+                out.append(R)
+    return np.array(out)
+
+
+def test_quaternion_pair_matches_scipy_bitwise():
+    # scipy is only a test oracle: the package writes and reads TUM
+    # quaternions with its own functions, which must reproduce
+    # scipy's Rotation to the last bit so that outputs do not change
+    from scipy.spatial.transform import Rotation
+    rng = np.random.default_rng(7)
+    rotvecs = rng.normal(size=(6000, 3))
+    rotvecs[:2000] *= 1e-6 / np.linalg.norm(rotvecs[:2000], axis=1)[:, None]
+    rotvecs[2000:4000] *= (np.pi - 1e-7) / np.linalg.norm(
+        rotvecs[2000:4000], axis=1)[:, None]
+    Rs = np.concatenate([
+        np.array([so3_exp(v) for v in rotvecs]),
+        Rotation.random(5000, random_state=8).as_matrix(),
+        signed_permutation_rotations(),
+    ])
+    ours = np.array([_quat_from_matrix(R) for R in Rs])
+    assert np.array_equal(ours, Rotation.from_matrix(Rs).as_quat())
+
+    quats = np.concatenate([rng.normal(size=(10000, 4)),
+                            rng.normal(size=(500, 4)) * 1e-150,
+                            rng.normal(size=(500, 4)) * 1e150, ours])
+    ours = np.array([_matrix_from_quat(q) for q in quats.tolist()])
+    assert np.array_equal(ours, Rotation.from_quat(quats).as_matrix())
+
+
+def test_quaternion_round_trip_property():
+    rng = np.random.default_rng(11)
+    Rs = [so3_exp(v) for v in rng.normal(size=(2000, 3)) * 2.0]
+    Rs += list(signed_permutation_rotations())
+    for R in Rs:
+        q = _quat_from_matrix(R)
+        assert abs(np.linalg.norm(q) - 1.0) < 2e-15
+        np.testing.assert_allclose(_matrix_from_quat(q), R, rtol=0, atol=2e-15)
+        # q and -q are the same rotation
+        q2 = np.array(_quat_from_matrix(_matrix_from_quat(
+            [-v for v in q] if rng.random() < 0.5 else q)))
+        assert min(np.max(np.abs(q2 - q)), np.max(np.abs(q2 + q))) < 2e-15
+
+
+@pytest.mark.parametrize("quat", ["0 0 0 0", "nan 0 0 1", "0 inf 0 1"])
+def test_trajectory_bad_quaternion(tmp_path, quat):
+    path = tmp_path / "estimate.tum"
+    write_lines(path, ["0.0 1 2 3 0 0 0 1", f"0.1 1 2 3 {quat}"])
+    with pytest.raises(LogFormatError, match="estimate.tum:2"):
+        read_trajectory(path)
+    write_trajectory(tmp_path / "ground_truth.tum", [0.0, 0.1],
+                     np.zeros((2, 3)), [np.eye(3)] * 2)
+    assert main(["evaluate", "--out-dir", str(tmp_path),
+                 "--log-level", "ERROR"]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, tenseg.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={
+                             **os.environ, "PYTHONPATH": os.pathsep.join(
+                                 p for p in sys.path if p)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_trajectory_bad_field_count(tmp_path):
@@ -239,6 +318,17 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["simulate"])  # --out-dir is required
     assert err.value.code == 1
+
+
+def test_estimate_accepts_one_second_calibration(tmp_path):
+    imu = [ImuSample(k * 0.005, np.array([0.0, 0.0, 9.81]), np.zeros(3))
+           for k in range(1, 301)]
+    write_sensor_log(tmp_path / "sensors.jsonl", imu, [], [], seed=0)
+    write_lines(tmp_path / "run.cfg", ["calibration_duration = 1.0"])
+    assert main(["estimate", "--out-dir", str(tmp_path), "--log-level",
+                 "ERROR", "--config", str(tmp_path / "run.cfg")]) == 0
+    info = json.loads((tmp_path / "estimate_info.json").read_text())
+    assert info["samples"] == 100
 
 
 def test_runtime_failure_exits_3(tmp_path):

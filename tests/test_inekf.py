@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from tenseg.inekf import (
+    CHI2_GATE_3DOF,
     CalibrationError,
     ContactAidedFilter,
     ContactVector,
@@ -111,6 +112,25 @@ def test_calibration_rejects_motion():
 def test_calibration_rejects_short_window():
     with pytest.raises(CalibrationError):
         init_bias_calibration(static_samples(100), 0.5, CFG)
+
+
+def test_calibration_accepts_one_second_window():
+    # 400 samples at 200 Hz.  With timestamps k / 200 the samples within
+    # 1 s of the first span 1.005 - 0.005 = 0.9999999999999999 s; with
+    # k * 0.005, as the simulator writes them, 1.0050000000000001 falls
+    # outside and 200 samples span 0.995 s, yet hold 1 s of data
+    for stamp in (lambda k: k / 200.0, lambda k: k * 0.005):
+        samples = [imu_at(stamp(k)) for k in range(1, 401)]
+        for duration in (1.0, 1.0000001):
+            bias, R0 = init_bias_calibration(samples, duration, CFG)
+            np.testing.assert_allclose(R0, np.eye(3), atol=1e-12)
+    with pytest.raises(CalibrationError):
+        init_bias_calibration(samples[:199], 1.0, CFG)
+
+
+def test_chi2_gate_is_the_999_quantile():
+    from scipy.stats import chi2
+    assert CHI2_GATE_3DOF == chi2.ppf(0.999, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from tenseg.liegroup import (
     from_embedding,
     hat,
     inverse,
+    rotation_to_z,
     sek3_exp,
     sek3_log,
     skew,
@@ -209,3 +210,25 @@ def test_from_embedding_round_trip():
     b = from_embedding(embedding(a))
     np.testing.assert_allclose(a.rot, b.rot)
     np.testing.assert_allclose(a.cols, b.cols)
+
+
+@pytest.mark.parametrize("u", [
+    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+    [1e-13, 0.0, -1.0], [0.6, -0.0, 0.8], [0.36, -0.48, -0.8]])
+def test_rotation_to_z_maps_u_to_ez(u):
+    u = np.asarray(u) / np.linalg.norm(u)
+    R = rotation_to_z(u)
+    np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
+    assert abs(np.linalg.det(R) - 1.0) < 1e-12
+    np.testing.assert_allclose(R @ u, [0.0, 0.0, 1.0], atol=1e-12)
+    # called with -u it takes u to -e_z instead
+    np.testing.assert_allclose(rotation_to_z(-u) @ u, [0.0, 0.0, -1.0],
+                               atol=1e-12)
+
+
+def test_rotation_to_z_is_minimal():
+    # no spin about the target: the rotation angle is the angle from u to e_z
+    for u in RNG.normal(size=(200, 3)):
+        u /= np.linalg.norm(u)
+        angle = np.linalg.norm(so3_log(rotation_to_z(u)))
+        assert abs(angle - np.arccos(np.clip(u[2], -1.0, 1.0))) < 1e-7
