@@ -460,23 +460,24 @@ class ContactAidedFilter:
         self._shape_fresh = False
         self._on = [0] * 6
         self._off = [0] * 6
-        self._jacobians = {}
+        self._jacobians = None    # J_p of all six endcaps for self.shape, on first use
         self.corrections = []     # CorrectionInfo log (most recent step)
         self.solver_failures = 0
 
     def _fk_jacobian(self, endcap):
+        """FK Jacobian of one endcap; one J_p sweep serves all six per shape."""
         cfg = self.config.noise
         if cfg.fk_covariance_mode != "jacobian" or self.shape is None:
             return None
-        if endcap not in self._jacobians:
+        if self._jacobians is None:
             from .shape import J_p, CableMeasurements, JacobianUnavailable
             meas = CableMeasurements.from_vector(
                 self.shape.timestamp, self.shape.cable_lengths())
             try:
-                self._jacobians[endcap] = J_p(meas, endcap, self.config.solver,
-                                              prior=self.shape)
+                self._jacobians = J_p(meas, range(6), self.config.solver,
+                                      prior=self.shape)
             except JacobianUnavailable:
-                self._jacobians[endcap] = None
+                self._jacobians = (None,) * 6
         return self._jacobians[endcap]
 
     def process_cables(self, meas):
@@ -486,7 +487,7 @@ class ContactAidedFilter:
         try:
             self.shape = reconstruct_shape(meas, self.shape, self.config.solver)
             self._shape_fresh = True
-            self._jacobians = {}
+            self._jacobians = None
         except MeasurementRejected:
             self.solver_failures += 1
             self._shape_fresh = False

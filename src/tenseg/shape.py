@@ -256,32 +256,84 @@ _CHI_V = _terms_matrix([t[1] for t in _CHIRALITY_TERMS])
 _Z_GRADS = np.zeros((4, 12))
 for _k, (_e, _s) in enumerate(_Z_SIGNS):
     _Z_GRADS[_k, 3 * (_e - 2) + 2] = _s
+_Z_FLAT = np.array([3 * e + 2 for e, _ in _Z_SIGNS])
+_Z_SIGN = np.array([s for _, s in _Z_SIGNS])
+
+# The kernels below are fixed-size code for 12 unknowns, 9 cables, 2
+# rod equalities and 10 inequalities.  Element by element they repeat
+# the arithmetic of the plain np.cross / einsum formulation kept as the
+# reference in tests/test_shape.py, so every solve is bit-identical to
+# it; a residual and its Jacobian are separate calls because a rejected
+# trial step needs no Jacobian.
+
+# Coefficients of the free endcaps q2..q5, shaped to broadcast against
+# one 3-vector per constraint row: (3, 4, 1).
+_GEO_A2, _GEO_B2, _GEO_W2, _CHI_U2, _CHI_V2 = (
+    M[:, 2:, None].copy() for M in (_GEO_A, _GEO_B, _GEO_W, _CHI_U, _CHI_V))
+
+
+def _cross_index():
+    """Flat gather indices into the stacked rows [a; b; w] (9, 3).
+
+    Crossing those rows with the rows [b; w; a] gives a x b, b x w and
+    w x a.  Component k is l[k1] * r[k2] - l[k2] * r[k1] with
+    (k1, k2) = (1, 2), (2, 0), (0, 1), the order np.cross uses.
+    """
+    rows = np.arange(9)[:, None]
+    right = (rows + 3) % 9
+    k1 = np.array([1, 2, 0])
+    k2 = np.array([2, 0, 1])
+    return np.stack([3 * rows + k1, 3 * right + k2, 3 * rows + k2, 3 * right + k1])
+
+
+_CROSS_IDX = _cross_index()
+
+
+def _inequality_values(q):
+    """All 10 inequality constraint values g (required > 0).
+
+    Order: 4 half-plane signs, 3 rod non-crossing, 3 chirality.  Also
+    returns the cross products and chirality vectors from which
+    _inequality_grads builds the gradients.
+    """
+    vals = np.empty(10)
+    np.multiply(_Z_SIGN, q.take(_Z_FLAT), out=vals[:4])
+    abw = np.empty((9, 3))
+    np.matmul(_GEO_A, q, out=abw[:3])
+    np.matmul(_GEO_B, q, out=abw[3:6])
+    np.matmul(_GEO_W, q, out=abw[6:])
+    t = abw.take(_CROSS_IDX)
+    cr = t[0] * t[1]
+    cr -= t[2] * t[3]
+    vals[4:7] = np.einsum("ij,ij->i", cr[:3], abw[6:])
+    uv = np.empty((6, 3))
+    np.matmul(_CHI_U, q, out=uv[:3])
+    np.matmul(_CHI_V, q, out=uv[3:])
+    vals[7:] = np.einsum("ij,ij->i", uv[:3], uv[3:])
+    return vals, (cr, uv)
+
+
+def _inequality_grads(cr, uv):
+    """Gradients (10, 12) of the inequalities w.r.t. the free variables."""
+    grads = np.empty((10, 12))
+    grads[:4] = _Z_GRADS
+    G = grads.reshape(10, 4, 3)
+    cr = cr.reshape(3, 3, 1, 3)       # a x b, b x w, w x a
+    g = G[4:7]
+    np.multiply(_GEO_A2, cr[1], out=g)
+    g += _GEO_B2 * cr[2]
+    g += _GEO_W2 * cr[0]
+    uv = uv.reshape(2, 3, 1, 3)
+    g = G[7:]
+    np.multiply(_CHI_U2, uv[1], out=g)
+    g += _CHI_V2 * uv[0]
+    return grads
 
 
 def _inequality_values_grads(q):
-    """All 10 inequality constraint values g (required > 0) and gradients.
-
-    Order: 4 half-plane signs, 3 rod non-crossing, 3 chirality.
-    Gradients are w.r.t. the free variables (q2..q5 flattened, 12).
-    """
-    vals = np.empty(10)
-    grads = np.empty((10, 12))
-    vals[:4] = [s * q[e, 2] for e, s in _Z_SIGNS]
-    grads[:4] = _Z_GRADS
-
-    a, b, w = _GEO_A @ q, _GEO_B @ q, _GEO_W @ q
-    axb = np.cross(a, b)
-    vals[4:7] = np.einsum("ij,ij->i", axb, w)
-    g = (_GEO_A[:, :, None] * np.cross(b, w)[:, None, :]
-         + _GEO_B[:, :, None] * np.cross(w, a)[:, None, :]
-         + _GEO_W[:, :, None] * axb[:, None, :])
-    grads[4:7] = g[:, 2:, :].reshape(3, 12)
-
-    u, v = _CHI_U @ q, _CHI_V @ q
-    vals[7:] = np.einsum("ij,ij->i", u, v)
-    g = _CHI_U[:, :, None] * v[:, None, :] + _CHI_V[:, :, None] * u[:, None, :]
-    grads[7:] = g[:, 2:, :].reshape(3, 12)
-    return vals, grads
+    """Inequality values (10,) and gradients w.r.t. q2..q5 flattened (10, 12)."""
+    vals, parts = _inequality_values(q)
+    return vals, _inequality_grads(*parts)
 
 
 _INEQ_NAMES = ("upper_z_q2", "upper_z_q4", "lower_z_q3", "lower_z_q5",
@@ -289,34 +341,68 @@ _INEQ_NAMES = ("upper_z_q2", "upper_z_q4", "lower_z_q3", "lower_z_q5",
                "chirality_024", "chirality_120", "chirality_240")
 
 
+def _jacobian_slots(rows, ends):
+    """Flat indices of the (row, free endcap) 3-blocks of an (n, 12) Jacobian."""
+    return (12 * np.asarray(rows)[:, None] + 3 * (np.asarray(ends)[:, None] - 2)
+            + np.arange(3)).ravel()
+
+
 _ROWS_I = np.where(_PAIR_I >= 2)[0]
 _ROWS_J = np.where(_PAIR_J >= 2)[0]
+_JR_I = _jacobian_slots(_ROWS_I, _PAIR_I[_ROWS_I])
+_JR_J = _jacobian_slots(_ROWS_J, _PAIR_J[_ROWS_J])
+
+# Free rods r23 and r45: endcap rows and Jacobian slots of +u and -u.
+_ROD_I = np.array([2, 4])
+_ROD_J = np.array([3, 5])
+_JC_I = _jacobian_slots([0, 1], _ROD_I)
+_JC_J = _jacobian_slots([0, 1], _ROD_J)
+
+
+def _cable_residual(q, lengths):
+    """Cable length residuals (9,), plus the differences and norms behind them."""
+    diff = q.take(_PAIR_I, axis=0)
+    diff -= q.take(_PAIR_J, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return norms - lengths, (diff, norms)
+
+
+def _cable_jacobian(diff, norms):
+    unit = diff / norms[:, None]
+    Jr = np.zeros(108)
+    Jr[_JR_I] = unit.take(_ROWS_I, axis=0).ravel()
+    # Subtracted from zero rather than negated: zeros keep their sign.
+    Jr[_JR_J] -= unit.take(_ROWS_J, axis=0).ravel()
+    return Jr.reshape(9, 12)
 
 
 def _cable_residual_grad(q, lengths):
     """Cable length residuals (9,) and their Jacobian w.r.t. free vars."""
-    diff = q[_PAIR_I] - q[_PAIR_J]
-    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    r = norms - lengths
-    unit = diff / norms[:, None]
-    Jr = np.zeros((9, 4, 3))
-    Jr[_ROWS_I, _PAIR_I[_ROWS_I] - 2] = unit[_ROWS_I]
-    Jr[_ROWS_J, _PAIR_J[_ROWS_J] - 2] -= unit[_ROWS_J]
-    return r, Jr.reshape(9, 12)
+    r, parts = _cable_residual(q, lengths)
+    return r, _cable_jacobian(*parts)
+
+
+def _rod_eq_residual(q, L):
+    """Rod-length equality residuals for r23, r45, plus their differences and norms."""
+    d = q.take(_ROD_I, axis=0)
+    d -= q.take(_ROD_J, axis=0)
+    # Row by row through ndarray.dot, as np.linalg.norm does.
+    n = np.sqrt([d[0].dot(d[0]), d[1].dot(d[1])])
+    return n - L, (d, n)
+
+
+def _rod_eq_jacobian(d, n):
+    u = d / n[:, None]
+    Jc = np.zeros(24)
+    Jc[_JC_I] = u.ravel()
+    Jc[_JC_J] = -u.ravel()
+    return Jc.reshape(2, 12)
 
 
 def _rod_eq_residual_grad(q, L):
     """Rod-length equality residuals for r23, r45 and their Jacobians."""
-    c = np.empty(2)
-    Jc = np.zeros((2, 12))
-    for k, (i, j) in enumerate(((2, 3), (4, 5))):
-        d = q[i] - q[j]
-        n = np.linalg.norm(d)
-        c[k] = n - L
-        u = d / n
-        Jc[k, 3 * (i - 2):3 * (i - 2) + 3] = u
-        Jc[k, 3 * (j - 2):3 * (j - 2) + 3] = -u
-    return c, Jc
+    c, parts = _rod_eq_residual(q, L)
+    return c, _rod_eq_jacobian(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +430,7 @@ def check_constraints(shape: RobotShape, cfg: ShapeSolverConfig) -> ConstraintRe
     margins = {}
     margins["fixed_q0"] = cfg.rod_tol - np.max(np.abs(q[0] - q0))
     margins["fixed_q1"] = cfg.rod_tol - np.max(np.abs(q[1] - q1))
-    vals, _ = _inequality_values_grads(q)
+    vals, _ = _inequality_values(q)
     margins["upper_half_plane"] = min(vals[0], vals[1])
     margins["lower_half_plane"] = min(vals[2], vals[3])
     rod_err = max(
@@ -372,92 +458,125 @@ def _check_triangles(lengths_by_pair, tol):
                 )
 
 
-def _al_residual_jac(x, q_fixed, lengths, cfg, lam_eq, lam_in, mu):
-    """Stacked augmented-Lagrangian residual vector and Jacobian.
+_SQRT2 = np.sqrt(2.0)
+_EYE12 = np.eye(12)
+
+
+class _Iterate:
+    """Constraint terms at one iterate x of the free variables.
+
+    They depend on x alone, not on the multipliers or the penalty
+    weight, so an iterate carried into the next outer pass is not
+    evaluated again.  The Jacobians and the KKT residual are computed
+    on first use: a rejected trial step needs neither.
+    """
+
+    def __init__(self, x, q_fixed, lengths, cfg):
+        q = q_fixed.copy()
+        q[2:] = x.reshape(4, 3)
+        self.x = x
+        self.r, self._cable = _cable_residual(q, lengths)
+        self.c, self._rod = _rod_eq_residual(q, cfg.L_rod)
+        g, self._ineq = _inequality_values(q)
+        self.gt = g - cfg.inequality_margin
+        self._jacobians = None
+        self._kkt = None
+
+    def jacobians(self):
+        """(Jr, Jc, Jg) w.r.t. the free variables."""
+        if self._jacobians is None:
+            self._jacobians = (_cable_jacobian(*self._cable),
+                               _rod_eq_jacobian(*self._rod),
+                               _inequality_grads(*self._ineq))
+        return self._jacobians
+
+    def kkt_residual(self):
+        """First-order optimality residual, independent of the penalty weight.
+
+        Fits multipliers for the rod equalities (and any near-active
+        inequalities) by least squares and returns the norm of the cable
+        gradient left unexplained by them, together with the worst
+        constraint violation.  Unlike the augmented-Lagrangian gradient,
+        this does not inherit the mu * machine-epsilon noise floor, so it
+        stays meaningful at large penalty weights.
+        """
+        if self._kkt is None:
+            Jr, Jc, Jg = self.jacobians()
+            g_obj = 2.0 * (Jr.T @ self.r)
+            A = np.vstack([Jc, Jg[self.gt <= 1e-6]])
+            lam, *_ = np.linalg.lstsq(A.T, g_obj, rcond=None)
+            kkt = float(np.max(np.abs(g_obj - A.T @ lam)))
+            viol = float(max(np.max(np.abs(self.c)), max(0.0, -np.min(self.gt))))
+            self._kkt = kkt, viol
+        return self._kkt
+
+
+_SQRT2 = np.sqrt(2.0)
+_EYE12 = np.eye(12)
+
+
+def _al_residual(it, lam_eq, lam_in, mu):
+    """Stacked augmented-Lagrangian residual vector and active set at it.
 
     The AL objective is 0.5*||rho||^2 (up to a constant), covering the
     cable objective, the rod equalities, and the PHR terms for the
     inequalities g >= margin.
     """
-    q = q_fixed.copy()
-    q[2:] = x.reshape(4, 3)
-    r, Jr = _cable_residual_grad(q, lengths)
-    c, Jc = _rod_eq_residual_grad(q, cfg.L_rod)
-    g, Jg = _inequality_values_grads(q)
-    gt = g - cfg.inequality_margin
-    act = (lam_in - mu * gt) > 0.0
+    slack = lam_in - mu * it.gt
+    act = slack > 0.0
     sqrt_mu = np.sqrt(mu)
-    rho = np.concatenate([
-        np.sqrt(2.0) * r,
-        sqrt_mu * (c + lam_eq / mu),
-        np.where(act, (lam_in - mu * gt) / sqrt_mu, 0.0),
-    ])
-    Jrho = np.vstack([
-        np.sqrt(2.0) * Jr,
-        sqrt_mu * Jc,
-        np.where(act[:, None], -sqrt_mu * Jg, 0.0),
-    ])
-    return rho, Jrho, c, gt
+    rho = np.zeros(21)
+    np.multiply(_SQRT2, it.r, out=rho[:9])
+    np.multiply(sqrt_mu, it.c + lam_eq / mu, out=rho[9:11])
+    np.divide(slack, sqrt_mu, out=rho[11:], where=act)
+    return rho, act
 
 
-def _gauss_newton_inner(x, q_fixed, lengths, cfg, lam_eq, lam_in, mu, gtol):
-    """Damped (Levenberg) Gauss-Newton on the AL subproblem."""
-    rho, Jrho, c, gt = _al_residual_jac(x, q_fixed, lengths, cfg, lam_eq, lam_in, mu)
+def _al_jacobian(it, act, mu):
+    """Jacobian of rho at it for the active set act."""
+    Jr, Jc, Jg = it.jacobians()
+    sqrt_mu = np.sqrt(mu)
+    Jrho = np.zeros((21, 12))
+    np.multiply(_SQRT2, Jr, out=Jrho[:9])
+    np.multiply(sqrt_mu, Jc, out=Jrho[9:11])
+    np.multiply(-sqrt_mu, Jg, out=Jrho[11:], where=act[:, None])
+    return Jrho
+
+
+def _gauss_newton_inner(it, q_fixed, lengths, cfg, lam_eq, lam_in, mu, gtol):
+    """Damped (Levenberg) Gauss-Newton on the AL subproblem.
+
+    Returns the last accepted iterate with its AL residual and Jacobian.
+    """
+    rho, act = _al_residual(it, lam_eq, lam_in, mu)
+    Jrho = _al_jacobian(it, act, mu)
     cost = 0.5 * rho @ rho
     nu = 1e-6
     for _ in range(cfg.inner_iterations):
         grad = Jrho.T @ rho
-        if np.max(np.abs(grad)) <= gtol:
+        if np.abs(grad).max() <= gtol:
             break
         H = Jrho.T @ Jrho
         accepted = False
         for _ in range(25):
             try:
-                step = np.linalg.solve(H + nu * np.eye(12), -grad)
+                step = np.linalg.solve(H + nu * _EYE12, -grad)
             except np.linalg.LinAlgError:
                 nu *= 10.0
                 continue
-            x_new = x + step
-            rho_new, Jrho_new, c_new, gt_new = _al_residual_jac(
-                x_new, q_fixed, lengths, cfg, lam_eq, lam_in, mu)
+            trial = _Iterate(it.x + step, q_fixed, lengths, cfg)
+            rho_new, act = _al_residual(trial, lam_eq, lam_in, mu)
             cost_new = 0.5 * rho_new @ rho_new
             if cost_new < cost:
-                x, rho, Jrho, c, gt, cost = x_new, rho_new, Jrho_new, c_new, gt_new, cost_new
+                it, rho, cost = trial, rho_new, cost_new
+                Jrho = _al_jacobian(it, act, mu)
                 nu = max(nu * 0.25, 1e-12)
                 accepted = True
                 break
             nu *= 4.0
         if not accepted:
             break
-    return x, rho, Jrho, c, gt
-
-
-def _kkt_residual(x, q_fixed, lengths, cfg):
-    """First-order optimality residual, independent of the penalty weight.
-
-    Fits multipliers for the rod equalities (and any near-active
-    inequalities) by least squares and returns the norm of the cable
-    gradient left unexplained by them, together with the worst
-    constraint violation.  Unlike the augmented-Lagrangian gradient,
-    this does not inherit the mu * machine-epsilon noise floor, so it
-    stays meaningful at large penalty weights.
-    """
-    q = q_fixed.copy()
-    q[2:] = x.reshape(4, 3)
-    r, Jr = _cable_residual_grad(q, lengths)
-    c, Jc = _rod_eq_residual_grad(q, cfg.L_rod)
-    g, Jg = _inequality_values_grads(q)
-    gt = g - cfg.inequality_margin
-    g_obj = 2.0 * (Jr.T @ r)
-    A = [Jc]
-    near = gt <= 1e-6
-    if np.any(near):
-        A.append(Jg[near])
-    A = np.vstack(A)
-    lam, *_ = np.linalg.lstsq(A.T, g_obj, rcond=None)
-    kkt = float(np.max(np.abs(g_obj - A.T @ lam)))
-    viol = float(max(np.max(np.abs(c)), max(0.0, -np.min(gt))))
-    return kkt, viol
+    return it, rho, Jrho
 
 
 def _align_gauge(p, ref):
@@ -516,6 +635,7 @@ def _reconstruct_once(meas, prior, cfg):
     else:
         x = canonical_prism(cfg)[2:].ravel()
     x_start = x.copy()
+    it = _Iterate(x, q_fixed, lengths, cfg)
 
     lam_eq = np.zeros(2)
     lam_in = np.zeros(10)
@@ -524,15 +644,15 @@ def _reconstruct_once(meas, prior, cfg):
     converged = False
     prev_grad = np.inf
     for _ in range(cfg.max_iterations):
-        x, rho, Jrho, c, gt = _gauss_newton_inner(
-            x, q_fixed, lengths, cfg, lam_eq, lam_in, mu, omega)
-        kkt, viol = _kkt_residual(x, q_fixed, lengths, cfg)
+        it, rho, Jrho = _gauss_newton_inner(
+            it, q_fixed, lengths, cfg, lam_eq, lam_in, mu, omega)
+        kkt, viol = it.kkt_residual()
         grad = np.max(np.abs(Jrho.T @ rho))
         if viol <= cfg.rod_tol and kkt <= cfg.convergence_tol:
             converged = True
             break
-        lam_eq = lam_eq + mu * c
-        lam_in = np.maximum(0.0, lam_in - mu * gt)
+        lam_eq = lam_eq + mu * it.c
+        lam_in = np.maximum(0.0, lam_in - mu * it.gt)
         if viol <= cfg.rod_tol:
             omega = max(cfg.convergence_tol, omega * 0.1)
             if grad > 0.5 * prev_grad:
@@ -546,8 +666,8 @@ def _reconstruct_once(meas, prior, cfg):
         prev_grad = grad
 
     q = q_fixed.copy()
-    q[2:] = _align_gauge(x.reshape(4, 3), x_start.reshape(4, 3))
-    r, _ = _cable_residual_grad(q, lengths)
+    q[2:] = _align_gauge(it.x.reshape(4, 3), x_start.reshape(4, 3))
+    r, _ = _cable_residual(q, lengths)
     shape = RobotShape(meas.timestamp, q, residual=float(r @ r))
     report = check_constraints(shape, cfg)
     if not report.passed or not converged:
@@ -562,10 +682,14 @@ def _reconstruct_once(meas, prior, cfg):
 # Contact kinematics
 
 
+def _check_endcap_id(endcap):
+    if not (isinstance(endcap, (int, np.integer)) and 0 <= endcap <= 5):
+        raise ValueError(f"invalid endcap id {endcap!r}")
+
+
 def h_p(shape: RobotShape, contact_endcap: int):
     """Body-frame position of the contact endcap (point-contact model)."""
-    if not (isinstance(contact_endcap, (int, np.integer)) and 0 <= contact_endcap <= 5):
-        raise ValueError(f"invalid endcap id {contact_endcap!r}")
+    _check_endcap_id(contact_endcap)
     return shape.q[contact_endcap].copy()
 
 
@@ -592,19 +716,25 @@ def h_R(shape, accel):
     return np.column_stack([x, y, z]), True
 
 
-def J_p(meas: CableMeasurements, contact_endcap: int, cfg: ShapeSolverConfig,
+def J_p(meas: CableMeasurements, contact_endcap, cfg: ShapeSolverConfig,
         prior: RobotShape | None = None):
-    """3x9 Jacobian of h_p w.r.t. the nine cable lengths.
+    """Jacobian of h_p w.r.t. the nine cable lengths.
 
     Central finite differences with step cfg.fd_step; each perturbed
     solve is warm-started from the nominal solution.  Columns follow
-    CABLE_PAIRS order.
+    CABLE_PAIRS order.  One sweep of 19 solves serves every endcap: an
+    int id gives the 3x9 Jacobian of that endcap, a sequence of ids
+    gives the stacked (len(ids), 3, 9) array.
     """
+    single = not isinstance(contact_endcap, (list, tuple, range, np.ndarray))
+    ids = [contact_endcap] if single else list(contact_endcap)
+    for e in ids:
+        _check_endcap_id(e)
     nominal = reconstruct_shape(meas, prior, cfg)
     vec = meas.as_vector()
-    J = np.zeros((3, 9))
+    J = np.zeros((6, 3, 9))
     for k in range(9):
-        cols = []
+        ends = []
         for sgn in (+1.0, -1.0):
             pert = vec.copy()
             pert[k] += sgn * cfg.fd_step
@@ -614,6 +744,6 @@ def J_p(meas: CableMeasurements, contact_endcap: int, cfg: ShapeSolverConfig,
             except ShapeError as e:
                 raise JacobianUnavailable(
                     f"perturbed solve failed for cable {CABLE_PAIRS[k]}: {e}") from e
-            cols.append(h_p(s, contact_endcap))
-        J[:, k] = (cols[0] - cols[1]) / (2.0 * cfg.fd_step)
-    return J
+            ends.append(s.q)
+        J[:, :, k] = (ends[0] - ends[1]) / (2.0 * cfg.fd_step)
+    return J[contact_endcap] if single else J[ids]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import tenseg.shape
 from tenseg.inekf import (
     CHI2_GATE_3DOF,
     CalibrationError,
@@ -518,6 +519,30 @@ def test_driver_keeps_stale_shape_on_bad_measurement():
     f.process_cables(CableMeasurements.from_vector(DT, bad))
     assert f.shape is good
     assert f.solver_failures == 1
+
+
+def test_driver_one_J_p_sweep_per_fresh_shape(monkeypatch):
+    calls = []
+    sweep = tenseg.shape.J_p
+
+    def counted(meas, contact_endcap, cfg, prior=None):
+        calls.append(meas.timestamp)
+        return sweep(meas, contact_endcap, cfg, prior=prior)
+
+    monkeypatch.setattr(tenseg.shape, "J_p", counted)
+    cfg = FilterConfig(noise=replace(CFG, fk_covariance_mode="jacobian"))
+    f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0), cfg)
+    flags = [i in (1, 3) for i in range(6)]
+    fresh = []
+    for k in range(1, 9):
+        t = k * DT
+        cables = stance_cables(t) if k % 2 == 0 else None
+        f.step(imu_at(t), contacts=ContactVector(t, flags), cables=cables)
+        assert f.state.active_contacts == ((1, 3) if k >= 2 else ())
+        if cables is not None:
+            fresh.append(t)
+            assert len(f.corrections) == 2
+    assert calls == fresh
 
 
 def test_fk_covariance_modes():

@@ -21,7 +21,22 @@ from tenseg.shape import (
     prism_from_parameters,
     reconstruct_shape,
 )
-from tenseg.shape import _align_gauge
+import tenseg.shape
+from tenseg.shape import (
+    _CHI_U,
+    _CHI_V,
+    _GEO_A,
+    _GEO_B,
+    _GEO_W,
+    _PAIR_I,
+    _PAIR_J,
+    _Z_GRADS,
+    _Z_SIGNS,
+    _align_gauge,
+    _cable_residual_grad,
+    _inequality_values_grads,
+    _rod_eq_residual_grad,
+)
 
 CFG = ShapeSolverConfig()
 RNG = np.random.default_rng(42)
@@ -282,6 +297,26 @@ def test_h_R_degenerate_inputs():
 # J_p
 
 
+def test_J_p_stacked_ids_equal_single_ids_bitwise():
+    q_true = asymmetric_stance(CFG)
+    meas = measurement_of(q_true)
+    prior = RobotShape(0.0, q_true)
+    both = J_p(meas, (2, 5), CFG, prior=prior)
+    J2, J5 = (J_p(meas, e, CFG, prior=prior) for e in (2, 5))
+    assert both.shape == (2, 3, 9) and J2.shape == (3, 9)
+    assert np.array_equal(both, np.stack([J2, J5]))
+
+
+@pytest.mark.parametrize("bad", [6, -1, 2.0, None, (2, 6)])
+def test_J_p_rejects_invalid_id_before_solving(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(tenseg.shape, "reconstruct_shape",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError):
+        J_p(measurement_of(canonical_prism(CFG)), bad, CFG)
+    assert calls == []
+
+
 def test_J_p_base_endcap_is_zero():
     meas = measurement_of(canonical_prism(CFG))
     J = J_p(meas, 0, CFG)
@@ -315,3 +350,126 @@ def test_J_p_predicts_displacement():
 def test_gauge_alignment_identity_on_match():
     q = canonical_prism(CFG)
     np.testing.assert_allclose(_align_gauge(q[2:], q[2:]), q[2:], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Constraint kernels: gradients against central differences, and values
+# and gradients bit for bit against the np.cross / einsum formulation.
+
+
+def _free(q, x):
+    out = q.copy()
+    out[2:] = x.reshape(4, 3)
+    return out
+
+
+def _central_difference(f, q, h=1e-6):
+    x = q[2:].ravel()
+    cols = []
+    for k in range(12):
+        dx = np.zeros(12)
+        dx[k] = h
+        cols.append((f(_free(q, x + dx)) - f(_free(q, x - dx))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def test_kernel_gradients_match_central_differences():
+    rng = np.random.default_rng(123)
+    lengths = RobotShape(0.0, asymmetric_stance(CFG)).cable_lengths()
+    for _ in range(20):
+        q = random_feasible_shape(rng, scale=0.1)
+        for kernel in (lambda q: _cable_residual_grad(q, lengths),
+                       lambda q: _rod_eq_residual_grad(q, CFG.L_rod),
+                       _inequality_values_grads):
+            _, grad = kernel(q)
+            fd = _central_difference(lambda p: kernel(p)[0], q)
+            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+def _reference_inequality_values_grads(q):
+    vals = np.empty(10)
+    grads = np.empty((10, 12))
+    vals[:4] = [s * q[e, 2] for e, s in _Z_SIGNS]
+    grads[:4] = _Z_GRADS
+    a, b, w = _GEO_A @ q, _GEO_B @ q, _GEO_W @ q
+    axb = np.cross(a, b)
+    vals[4:7] = np.einsum("ij,ij->i", axb, w)
+    g = (_GEO_A[:, :, None] * np.cross(b, w)[:, None, :]
+         + _GEO_B[:, :, None] * np.cross(w, a)[:, None, :]
+         + _GEO_W[:, :, None] * axb[:, None, :])
+    grads[4:7] = g[:, 2:, :].reshape(3, 12)
+    u, v = _CHI_U @ q, _CHI_V @ q
+    vals[7:] = np.einsum("ij,ij->i", u, v)
+    g = _CHI_U[:, :, None] * v[:, None, :] + _CHI_V[:, :, None] * u[:, None, :]
+    grads[7:] = g[:, 2:, :].reshape(3, 12)
+    return vals, grads
+
+
+def _reference_cable_residual_grad(q, lengths):
+    rows_i = np.where(_PAIR_I >= 2)[0]
+    rows_j = np.where(_PAIR_J >= 2)[0]
+    diff = q[_PAIR_I] - q[_PAIR_J]
+    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    unit = diff / norms[:, None]
+    Jr = np.zeros((9, 4, 3))
+    Jr[rows_i, _PAIR_I[rows_i] - 2] = unit[rows_i]
+    Jr[rows_j, _PAIR_J[rows_j] - 2] -= unit[rows_j]
+    return norms - lengths, Jr.reshape(9, 12)
+
+
+def _reference_rod_eq_residual_grad(q, L):
+    c = np.empty(2)
+    Jc = np.zeros((2, 12))
+    for k, (i, j) in enumerate(((2, 3), (4, 5))):
+        d = q[i] - q[j]
+        n = np.linalg.norm(d)
+        c[k] = n - L
+        u = d / n
+        Jc[k, 3 * (i - 2):3 * (i - 2) + 3] = u
+        Jc[k, 3 * (j - 2):3 * (j - 2) + 3] = -u
+    return c, Jc
+
+
+def _kernel_test_shapes(rng):
+    """Feasible, broadly random and near-degenerate shapes.
+
+    The near-degenerate ones have the free rods almost parallel to
+    each other and to the base rod, where the cross products cancel.
+    Half of the broadly random ones share an x or y coordinate with
+    the base rod, so some differences are exactly zero and the sign
+    of each zero in the Jacobians is checked too.
+    """
+    for k in range(400):
+        yield random_feasible_shape(rng, scale=(0.02, 0.1)[k % 2])
+    for k in range(400):
+        q = canonical_prism(CFG)
+        q[2:] += rng.normal(scale=0.5, size=(4, 3))
+        if k % 2:
+            q[2:, k % 4 // 2] = 0.0
+        yield q
+    for _ in range(400):
+        q = canonical_prism(CFG)
+        axis = np.array([0.0, 0.0, 1.0])
+        for i, j in ((2, 3), (4, 5)):
+            u = axis + rng.normal(scale=10.0 ** rng.uniform(-12, -4), size=3)
+            m = rng.normal(scale=0.3, size=3)
+            q[i] = m + CFG.L_rod / 2.0 * u / np.linalg.norm(u)
+            q[j] = m - CFG.L_rod / 2.0 * u / np.linalg.norm(u)
+        yield q
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_kernels_equal_reference_formulation_bitwise():
+    rng = np.random.default_rng(2024)
+    for q in _kernel_test_shapes(rng):
+        lengths = rng.uniform(0.3, 2.0, size=9)
+        pairs = ((_inequality_values_grads, _reference_inequality_values_grads, ()),
+                 (_cable_residual_grad, _reference_cable_residual_grad, (lengths,)),
+                 (_rod_eq_residual_grad, _reference_rod_eq_residual_grad, (CFG.L_rod,)))
+        for kernel, reference, args in pairs:
+            for a, b in zip(kernel(q, *args), reference(q, *args)):
+                assert _same_bits(a, b)
