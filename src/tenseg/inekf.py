@@ -17,7 +17,9 @@ at liftoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +72,18 @@ class ImuBias:
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 
+    @classmethod
+    def _successor(cls, accel, gyro):
+        """Bias from fresh 3-vectors the caller gives up; only finiteness
+        is checked, and the arrays become read-only."""
+        if not all(map(math.isfinite, accel.tolist() + gyro.tolist())):
+            raise ValueError("bias must be a finite 3-vector")
+        accel.flags.writeable = False
+        gyro.flags.writeable = False
+        bias = object.__new__(cls)
+        vars(bias).update(accel=accel, gyro=gyro)
+        return bias
+
 
 @dataclass(frozen=True)
 class ContactVector:
@@ -105,6 +119,9 @@ class NoiseConfig:
             raise ValueError("fk_covariance_mode must be 'empirical' or 'jacobian'")
 
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 # Outlier gate: chi-square 99.9% quantile, 3 dof (scipy's chi2.ppf(0.999, 3)).
 CHI2_GATE_3DOF = 16.26623619623813
 MAX_CONDITION = 1e12
@@ -139,6 +156,19 @@ class EstimatorState:
         P.flags.writeable = False
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "active_contacts", contacts)
+
+    def _successor(self, group, P, bias=None, timestamp=None):
+        """State with the same contacts from a fresh covariance P and a
+        group of matching size: skips the copies and checks of the
+        public constructor but keeps its symmetrization of P."""
+        P = 0.5 * (P + P.T)
+        P.flags.writeable = False
+        new = object.__new__(type(self))
+        vars(new).update(
+            group=group, active_contacts=self.active_contacts,
+            bias=self.bias if bias is None else bias, P=P,
+            timestamp=self.timestamp if timestamp is None else timestamp)
+        return new
 
     @staticmethod
     def dim_of(n_contacts):
@@ -225,35 +255,82 @@ def init_bias_calibration(stationary, duration, cfg: NoiseConfig):
     return ImuBias(accel=ba, gyro=bg), R0
 
 
+@lru_cache(maxsize=None)
+def _identity(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=None)
+def _contact_jacobian(n, k):
+    """Read-only H of the contact measurement z = R m + p - d, whose
+    contact d has its error block at k in an n-dim state."""
+    H = np.zeros((3, n))
+    H[:, 6:9] = -np.eye(3)
+    H[:, k:k + 3] = np.eye(3)
+    H.flags.writeable = False
+    return H
+
+
+# Row-major skew(c) of c = (x, y, z) as rows of [x, y, z, -x, -y, -z, 0].
+_SKEW_ROWS = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+
+
 def _column_cross_terms(state: EstimatorState):
     """Stack of skew(col_k) @ R for every state column (shared by the
     error-dynamics bias coupling and the adjoint)."""
     cols = state.group.cols
     K = cols.shape[1]
-    S = np.zeros((K, 3, 3))
-    S[:, 0, 1] = -cols[2]
-    S[:, 0, 2] = cols[1]
-    S[:, 1, 0] = cols[2]
-    S[:, 1, 2] = -cols[0]
-    S[:, 2, 0] = -cols[1]
-    S[:, 2, 1] = cols[0]
-    return S @ state.rotation
+    signed = np.zeros((7, K))
+    signed[:3] = cols
+    np.negative(cols, out=signed[3:6])
+    S = signed.take(_SKEW_ROWS, axis=0).T.reshape(K, 3, 3)
+    return S @ state.group.rot
+
+
+@lru_cache(maxsize=32)
+def _step_constants(n, gravity, sigmas):
+    """Read-only blocks of A and Q that no step changes, for an n-dim state
+    and the gravity vector's float64 bytes.
+
+    A gets the gravity coupling and the velocity-to-position identity;
+    Q gets the bias random walks, and diag is the unwrapped white-noise
+    diagonal of the group block.
+    """
+    sg, sa, sc, sgb, sab = sigmas
+    A = np.zeros((n, n))
+    A[3:6, 0:3] = skew(np.frombuffer(gravity))
+    A[6:9, 3:6] = _EYE3
+    ng = n - 6
+    diag = np.empty(ng)
+    diag[0:3] = sg**2
+    diag[3:6] = sa**2
+    diag[6:9] = 0.0
+    diag[9:] = sc**2
+    Q = np.zeros((n, n))
+    Q[range(ng, n), range(ng, n)] = [sgb**2] * 3 + [sab**2] * 3
+    for a in (A, diag, Q):
+        a.flags.writeable = False
+    return A, diag, Q
+
+
+def _constants(state: EstimatorState, cfg: NoiseConfig):
+    return _step_constants(
+        state.dim, cfg.gravity.tobytes(),   # bytes tell -0.0 from 0.0
+        (cfg.sigma_gyro, cfg.sigma_accel, cfg.sigma_contact,
+         cfg.sigma_gyro_bias, cfg.sigma_accel_bias))
 
 
 def _system_matrix(state: EstimatorState, cfg: NoiseConfig, W=None):
-    n = state.dim
     if W is None:
         W = _column_cross_terms(state)
-    A = np.zeros((n, n))
-    A[3:6, 0:3] = skew(cfg.gravity)
-    idx = np.arange(3)
-    A[idx + 6, idx + 3] = 1.0
-    R = state.rotation
-    k0 = n - 6
-    A[0:3, k0:k0 + 3] = -R
-    A[3:6, k0 + 3:k0 + 6] = -R
-    for k in range(state.group.K):
-        A[3 + 3 * k:6 + 3 * k, k0:k0 + 3] = -W[k]
+    A = _constants(state, cfg)[0].copy()
+    minus_R = -state.group.rot
+    k0 = A.shape[0] - 6
+    A[0:3, k0:k0 + 3] = minus_R
+    A[3:6, k0 + 3:] = minus_R
+    A[3:k0, k0:k0 + 3] = -W.reshape(k0 - 3, 3)
     return A
 
 
@@ -267,27 +344,17 @@ def _process_noise(state: EstimatorState, cfg: NoiseConfig, contact_frame,
     of the group block reduces to one scaled matrix product.  The bias
     block is Euclidean and stays unwrapped.
     """
-    n = state.dim
-    ng = n - 6
-    diag = np.empty(ng)
-    diag[0:3] = cfg.sigma_gyro**2
-    diag[3:6] = cfg.sigma_accel**2
-    diag[6:9] = 0.0
-    diag[9:] = cfg.sigma_contact**2
+    _, diag, Q = _constants(state, cfg)
     if W is None:
         W = _column_cross_terms(state)
-    R = state.rotation
+    R = state.group.rot
+    ng = diag.shape[0]
     Ad = np.zeros((ng, ng))
-    Ad[0:3, 0:3] = R
-    for k in range(state.group.K):
-        r = 3 * (1 + k)
-        Ad[r:r + 3, 0:3] = W[k]
+    Ad[3:, 0:3] = W.reshape(ng - 3, 3)
+    for r in range(0, ng, 3):
         Ad[r:r + 3, r:r + 3] = R
-    Q = np.zeros((n, n))
+    Q = Q.copy()
     Q[:ng, :ng] = (Ad * diag) @ Ad.T
-    idx = np.arange(ng, n)
-    Q[idx[:3], idx[:3]] = cfg.sigma_gyro_bias**2
-    Q[idx[3:], idx[3:]] = cfg.sigma_accel_bias**2
     return Q
 
 
@@ -302,23 +369,23 @@ def propagate(state: EstimatorState, imu: ImuSample, dt, cfg: NoiseConfig,
         raise FilterError(f"rejected IMU sample: dt={dt}")
     omega = imu.gyro - state.bias.gyro
     acc = imu.accel - state.bias.accel
-    R = state.rotation
+    R = state.group.rot
     a_w = R @ acc + cfg.gravity
-    v = state.velocity
+    # v + a_w dt and p + v dt + 0.5 a_w dt^2, one axis at a time in scalars
     cols = state.group.cols.copy()
-    cols[:, 0] = v + a_w * dt
-    cols[:, 1] = state.group.cols[:, 1] + v * dt + 0.5 * a_w * dt**2
-    group = GroupElement(R @ so3_exp(omega * dt), cols)
+    cols[:, :2] = [(v + a * dt, p + v * dt + 0.5 * a * dt**2)
+                   for (v, p), a in zip(cols[:, :2].tolist(), a_w.tolist())]
+    group = GroupElement._successor(R @ so3_exp(omega * dt), cols)
 
     W = _column_cross_terms(state)
     A = _system_matrix(state, cfg, W)
     n = state.dim
     Phi = A * dt
     Phi += (0.5 * dt * dt) * (A @ A)
-    Phi.flat[:: n + 1] += 1.0
+    Phi.ravel()[:: n + 1] += 1.0
     M = state.P + _process_noise(state, cfg, contact_frame, W) * dt
     P = Phi @ M @ Phi.T
-    return replace(state, group=group, P=P, timestamp=state.timestamp + dt)
+    return state._successor(group, P, timestamp=state.timestamp + dt)
 
 
 def fk_covariance_body(cfg: NoiseConfig, jacobian=None):
@@ -329,7 +396,7 @@ def fk_covariance_body(cfg: NoiseConfig, jacobian=None):
     """
     if cfg.fk_covariance_mode == "jacobian" and jacobian is not None:
         return jacobian @ (cfg.sigma_cable**2 * np.eye(9)) @ jacobian.T
-    return cfg.sigma_fk**2 * np.eye(3)
+    return cfg.sigma_fk**2 * _EYE3
 
 
 def augment_contact(state: EstimatorState, endcap, shape: RobotShape,
@@ -394,34 +461,36 @@ def correct_contact(state: EstimatorState, endcap, shape: RobotShape,
     """
     if endcap not in state.active_contacts:
         raise FilterError(f"endcap {endcap} not active")
-    R = state.rotation
+    R = state.group.rot
+    cols = state.group.cols
+    i = state.active_contacts.index(endcap)
     m = h_p(shape, endcap)
-    z = R @ m + state.position - state.contact_position(endcap)
+    z = R @ m + cols[:, 1] - cols[:, 2 + i]
 
-    n = state.dim
-    H = np.zeros((3, n))
-    H[:, 6:9] = -np.eye(3)
-    sl = state.contact_slice(endcap)
-    H[:, sl] = np.eye(3)
+    P = state.P
+    n = P.shape[0]
+    H = _contact_jacobian(n, 9 + 3 * i)
     N = R @ fk_covariance_body(cfg, fk_jacobian) @ R.T
-    S = H @ state.P @ H.T + N
-    if np.linalg.cond(S) > MAX_CONDITION:
+    S = H @ P @ H.T + N
+    # np.linalg.cond(S) is s_max / s_min of this SVD, and infinite for 0 / 0
+    s_max, _, s_min = np.linalg.svd(S, compute_uv=False).tolist()
+    if s_min == 0.0 or s_max / s_min > MAX_CONDITION:
         return state, CorrectionInfo(False, "ill_conditioned", z, np.inf)
     Sinv = np.linalg.inv(S)
     maha = float(z @ Sinv @ z)
     if maha > CHI2_GATE_3DOF:
         return state, CorrectionInfo(False, "outlier", z, maha)
 
-    L = state.P @ H.T @ Sinv
+    L = P @ H.T @ Sinv
     delta = L @ z
-    ng = 9 + 3 * len(state.active_contacts)
+    ng = n - 6
     group = compose(sek3_exp(delta[:ng]), state.group)
-    bias = ImuBias(accel=state.bias.accel + delta[ng + 3:ng + 6],
-                   gyro=state.bias.gyro + delta[ng:ng + 3])
-    ILH = np.eye(n) - L @ H
-    P = ILH @ state.P @ ILH.T + L @ N @ L.T
-    new_state = replace(state, group=group, bias=bias, P=P)
-    return new_state, CorrectionInfo(True, "applied", z, maha)
+    bias = ImuBias._successor(state.bias.accel + delta[ng + 3:],
+                              state.bias.gyro + delta[ng:ng + 3])
+    ILH = _identity(n) - L @ H
+    P = ILH @ P @ ILH.T + L @ N @ L.T
+    return (state._successor(group, P, bias=bias),
+            CorrectionInfo(True, "applied", z, maha))
 
 
 def right_invariant_error(est: EstimatorState, truth_rot, truth_vel, truth_pos):

@@ -23,10 +23,13 @@ SMALL_ANGLE = 1e-8
 # Re-orthonormalize whenever ||R R^T - I||_inf exceeds this.
 ORTHO_TOL = 1e-9
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 def skew(v):
     """Skew-symmetric matrix such that skew(v) @ w == cross(v, w)."""
-    x, y, z = v
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y],
                      [z, 0.0, -x],
                      [-y, x, 0.0]])
@@ -34,14 +37,15 @@ def skew(v):
 
 def so3_exp(phi):
     """Rodrigues formula, with a series branch for small angles."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
+    # np.linalg.norm of a 1-D vector is this dot product of a contiguous copy
+    phi = np.ascontiguousarray(phi, dtype=float)
+    theta = np.sqrt(phi.dot(phi))
     S = skew(phi)
     if theta < SMALL_ANGLE:
-        return np.eye(3) + S + 0.5 * (S @ S)
+        return _EYE3 + S + 0.5 * (S @ S)
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * S + b * (S @ S)
+    return _EYE3 + a * S + b * (S @ S)
 
 
 def so3_log(R):
@@ -59,14 +63,14 @@ def so3_log(R):
 
 def so3_left_jacobian(phi):
     """Left Jacobian J_l of SO(3), series branch for small angles."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi)
+    phi = np.ascontiguousarray(phi, dtype=float)
+    theta = np.sqrt(phi.dot(phi))
     S = skew(phi)
     if theta < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * S + (S @ S) / 6.0
+        return _EYE3 + 0.5 * S + (S @ S) / 6.0
     a = (1.0 - np.cos(theta)) / theta**2
     b = (theta - np.sin(theta)) / theta**3
-    return np.eye(3) + a * S + b * (S @ S)
+    return _EYE3 + a * S + b * (S @ S)
 
 
 def rotation_to_z(u):
@@ -92,7 +96,7 @@ def project_rotation(R):
 
 
 def _orthonormalized(R):
-    if np.max(np.abs(R @ R.T - np.eye(3))) > ORTHO_TOL:
+    if np.abs(R @ R.T - _EYE3).max() > ORTHO_TOL:
         return project_rotation(R)
     return R
 
@@ -120,6 +124,20 @@ class GroupElement:
         cols.flags.writeable = False
         object.__setattr__(self, "rot", rot)
         object.__setattr__(self, "cols", cols)
+
+    @classmethod
+    def _successor(cls, rot, cols):
+        """Element from fresh (3, 3) and (3, K) arrays the caller gives up.
+
+        Skips the copies and shape checks of the public constructor but
+        keeps its re-orthonormalization; the arrays become read-only.
+        """
+        rot = _orthonormalized(rot)
+        rot.flags.writeable = False
+        cols.flags.writeable = False
+        elem = object.__new__(cls)
+        vars(elem).update(rot=rot, cols=cols)
+        return elem
 
     @property
     def K(self):
@@ -177,7 +195,7 @@ def sek3_exp(xi, K=None):
     R = so3_exp(phi)
     J = so3_left_jacobian(phi)
     cols = J @ xi[3:].reshape(K, 3).T
-    return GroupElement(R, cols)
+    return GroupElement._successor(R, cols)
 
 
 def sek3_log(a: GroupElement):
@@ -193,7 +211,7 @@ def sek3_log(a: GroupElement):
 def compose(a: GroupElement, b: GroupElement):
     if a.K != b.K:
         raise ValueError(f"column count mismatch: {a.K} vs {b.K}")
-    return GroupElement(a.rot @ b.rot, a.rot @ b.cols + a.cols)
+    return GroupElement._successor(a.rot @ b.rot, a.rot @ b.cols + a.cols)
 
 
 def inverse(a: GroupElement):

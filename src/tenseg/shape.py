@@ -701,19 +701,22 @@ def h_R(shape, accel):
     Returns (rotation, ok).  Degenerate readings (near-zero norm, or
     accel parallel to the body x-axis) fall back to identity, ok=False.
     """
-    a = np.asarray(accel, dtype=float)
-    n = np.linalg.norm(a)
+    # Scalar arithmetic in the order of the array formulation: z = -a / |a|,
+    # x = e_x - (e_x . z) z normalized, y = cross(z, x) as np.cross forms it;
+    # the norms stay numpy's dot products.
+    a = np.ascontiguousarray(accel, dtype=float)
+    n = np.sqrt(a.dot(a))
     if n <= 0.5 * GRAVITY_MAG:
         return np.eye(3), False
-    z = -a / n
-    ex = np.array([1.0, 0.0, 0.0])
-    x = ex - (ex @ z) * z
-    nx = np.linalg.norm(x)
+    z0, z1, z2 = (-a / n).tolist()
+    x = np.array((1.0 - z0 * z0, 0.0 - z0 * z1, 0.0 - z0 * z2))   # e_x . z = z0
+    nx = np.sqrt(x.dot(x))
     if nx < 1e-6:
         return np.eye(3), False
-    x = x / nx
-    y = np.cross(z, x)
-    return np.column_stack([x, y, z]), True
+    x0, x1, x2 = (x / nx).tolist()
+    return np.array((x0, z1 * x2 - z2 * x1, z0,
+                     x1, z2 * x0 - z0 * x2, z1,
+                     x2, z0 * x1 - z1 * x0, z2)).reshape(3, 3), True
 
 
 def J_p(meas: CableMeasurements, contact_endcap, cfg: ShapeSolverConfig,

@@ -4,8 +4,8 @@ The robot is treated as a rigid polyhedron (six endcap vertices, fixed
 body-frame shape) that locomotes by tipping over edges of its support
 triangle.  Each pivot is a rotation about the world-frame axis through
 two contact points, with a quintic smoothstep angle profile so that
-angular rate and acceleration start and end at zero.  Poses, velocities,
-and accelerations are analytic, so the emitted IMU stream is exact.
+angular rate and acceleration start and end at zero.  Poses, velocities
+and angular rates are analytic, so the emitted IMU stream is exact.
 
 Streams:
   * ground-truth frames at the IMU rate,
@@ -103,11 +103,10 @@ def terrain_height(cfg: SimConfig, x, y):
 
 
 def _smoothstep(tau):
-    """Quintic smoothstep and its first two derivatives on [0, 1]."""
+    """Quintic smoothstep and its first derivative on [0, 1]."""
     s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
     ds = 30.0 * tau**2 * (1.0 - tau)**2
-    dds = 60.0 * tau * (1.0 - 3.0 * tau + 2.0 * tau**2)
-    return s, ds, dds
+    return s, ds
 
 
 def _clearance(cfg, verts):
@@ -227,24 +226,24 @@ def _segments(cfg: SimConfig, q):
 
 
 def _kinematics(seg, t):
-    """(R, p, v, a_world, omega_world) of the body frame at time t."""
+    """(R, p, v, omega_world) of the body frame at time t."""
     if seg[0] == "dwell":
         _, _, _, R, p = seg
         z = np.zeros(3)
-        return R, p, z, z, z
+        return R, p, z, z
     _, t0, t1, R0, p0, o, axis, theta_total = seg
     tau = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-    s, ds, dds = _smoothstep(tau)
+    s, ds = _smoothstep(tau)
     T = t1 - t0
     theta = theta_total * s
     rate = theta_total * ds / T
-    accel = theta_total * dds / T**2
     E = so3_exp(theta * axis)
     p = o + E @ (p0 - o)
-    r = p - o
-    v = rate * np.cross(axis, r)
-    a = accel * np.cross(axis, r) + rate**2 * np.cross(axis, np.cross(axis, r))
-    return E @ R0, p, v, a, rate * axis
+    # v = rate * cross(axis, p - o), the cross product in np.cross's order
+    a0, a1, a2 = axis.tolist()
+    r0, r1, r2 = (p - o).tolist()
+    v = rate * np.array((a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0))
+    return E @ R0, p, v, rate * axis
 
 
 def _seg_at(segs, starts, t):
@@ -267,7 +266,7 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     n_frames = int(round(t_end * cfg.imu_rate))
     for k in range(n_frames + 1):
         t = k / cfg.imu_rate
-        R, p, v, _, _ = pose(t)
+        R, p, v, _ = pose(t)
         verts = (R @ q.T).T + p
         flags = tuple(
             verts[i, 2] - terrain_height(cfg, *verts[i, :2]) < CONTACT_TOL
@@ -276,13 +275,16 @@ def generate(cfg: SimConfig = None) -> SimOutput:
 
     imu = []
     dt = 1.0 / cfg.imu_rate
+    end = pose(0.0)
     for k in range(1, n_frames + 1):
         # angular rate at the interval midpoint; specific force consistent
         # with the velocity increment over the interval, expressed in the
-        # start-of-interval body frame (ideal integrating sensor outputs)
-        Rm, _, _, _, omega = pose((k - 0.5) * dt)
-        R0, _, v0, _, _ = pose((k - 1) * dt)
-        _, _, v1, _, _ = pose(k * dt)
+        # start-of-interval body frame (ideal integrating sensor outputs);
+        # the last interval's end, k * dt, is this one's start (k - 1) * dt
+        Rm, _, _, omega = pose((k - 0.5) * dt)
+        R0, _, v0, _ = end
+        end = pose(k * dt)
+        v1 = end[2]
         imu.append(ImuSample(k * dt,
                              R0.T @ ((v1 - v0) / dt - GRAVITY),
                              Rm.T @ omega))
@@ -295,7 +297,7 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     contacts = []
     for k in range(int(round(t_end * cfg.contact_rate)) + 1):
         t = k / cfg.contact_rate
-        R, p, _, _, _ = pose(t)
+        R, p, _, _ = pose(t)
         verts = (R @ q.T).T + p
         contacts.append(ContactVector(t, tuple(
             verts[i, 2] - terrain_height(cfg, *verts[i, :2]) < CONTACT_TOL

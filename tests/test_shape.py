@@ -293,6 +293,35 @@ def test_h_R_degenerate_inputs():
     np.testing.assert_array_equal(R, np.eye(3))
 
 
+def _h_R_reference(accel):
+    """h_R in plain array form: np.linalg.norm, np.cross, np.column_stack."""
+    a = np.asarray(accel, dtype=float)
+    n = np.linalg.norm(a)
+    if n <= 0.5 * 9.81:
+        return np.eye(3), False
+    z = -a / n
+    ex = np.array([1.0, 0.0, 0.0])
+    x = ex - (ex @ z) * z
+    nx = np.linalg.norm(x)
+    if nx < 1e-6:
+        return np.eye(3), False
+    x = x / nx
+    return np.column_stack([x, np.cross(z, x), z]), True
+
+
+def test_h_R_equals_reference_formulation_bitwise():
+    rng = np.random.default_rng(21)
+    accels = [rng.normal(size=3) * s for s in (2.0, 10.0, 100.0) for _ in range(3000)]
+    # signed zeros, exact axes, and readings near the x-axis degeneracy
+    accels += [np.array([x, y, z]) for x in (0.0, -0.0, 1.0, -9.81, 9.81)
+               for y in (0.0, -0.0, 1e-7, -2.0) for z in (0.0, -0.0, 9.81, -9.81)]
+    for a in accels:
+        R, ok = h_R(None, a)
+        R_ref, ok_ref = _h_R_reference(a)
+        assert ok == ok_ref
+        assert R.shape == (3, 3) and R.tobytes() == R_ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # J_p
 

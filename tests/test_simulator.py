@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from tenseg.liegroup import so3_exp, so3_log
 from tenseg.shape import (
     RobotShape,
     ShapeSolverConfig,
+    asymmetric_stance,
     check_constraints,
     reconstruct_shape,
 )
 from tenseg.simulator import (
+    CONTACT_TOL,
     SimConfig,
     SimulationError,
     _segments,
@@ -182,3 +186,79 @@ def test_corrupt_chatter_flips_flags():
     noisy = corrupt(SIM, seed=4, chatter=0.2)
     flips = sum(c.flags != d.flags for c, d in zip(SIM.contacts, noisy.contacts))
     assert flips > 0
+
+
+# ---------------------------------------------------------------------------
+# generate against a plain reference loop, bit for bit
+
+
+def _ref_kinematics(seg, t):
+    """(R, p, v, omega) with np.cross, as the simulator first computed them."""
+    if seg[0] == "dwell":
+        _, _, _, R, p = seg
+        return R, p, np.zeros(3), np.zeros(3)
+    _, t0, t1, R0, p0, o, axis, theta_total = seg
+    tau = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
+    s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
+    ds = 30.0 * tau**2 * (1.0 - tau)**2
+    T = t1 - t0
+    E = so3_exp(theta_total * s * axis)
+    p = o + E @ (p0 - o)
+    rate = theta_total * ds / T
+    return E @ R0, p, rate * np.cross(axis, p - o), rate * axis
+
+
+def _ref_streams(cfg):
+    """Frames, IMU samples and contact flags, every pose evaluated afresh."""
+    q = asymmetric_stance(ShapeSolverConfig())
+    segs = _segments(cfg, q)
+    starts = [s[1] for s in segs]
+    t_end = segs[-1][2]
+
+    def pose(t):
+        return _ref_kinematics(segs[max(0, bisect_right(starts, t) - 1)], t)
+
+    def flags(R, p):
+        verts = (R @ q.T).T + p
+        return tuple(verts[i, 2] - terrain_height(cfg, *verts[i, :2]) < CONTACT_TOL
+                     for i in range(6))
+
+    n_frames = int(round(t_end * cfg.imu_rate))
+    frames = []
+    for k in range(n_frames + 1):
+        R, p, v, _ = pose(k / cfg.imu_rate)
+        frames.append((R, v, p, flags(R, p)))
+    dt = 1.0 / cfg.imu_rate
+    imu = []
+    for k in range(1, n_frames + 1):
+        Rm, _, _, omega = pose((k - 0.5) * dt)
+        R0, _, v0, _ = pose((k - 1) * dt)
+        _, _, v1, _ = pose(k * dt)
+        imu.append((k * dt, R0.T @ ((v1 - v0) / dt - GRAVITY), Rm.T @ omega))
+    contacts = []
+    for k in range(int(round(t_end * cfg.contact_rate)) + 1):
+        R, p, _, _ = pose(k / cfg.contact_rate)
+        contacts.append(flags(R, p))
+    return frames, imu, contacts
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(maneuver="forward", target_length=0.6, dwell=0.5, final_dwell=0.2),
+    SimConfig(maneuver="right_turn", target_length=1.2, dwell=0.5,
+              final_dwell=0.2, imu_rate=1000.0),
+    SimConfig(terrain="valley", target_length=2.0, dwell=0.5, final_dwell=0.2),
+], ids=["forward", "right_turn", "valley"])
+def test_generate_equals_reference_loop_bitwise(cfg):
+    sim = generate(cfg)
+    frames, imu, contacts = _ref_streams(cfg)
+    assert len(sim.frames) == len(frames) and len(sim.imu) == len(imu)
+    for f, (R, v, p, fl) in zip(sim.frames, frames):
+        assert f.rotation.tobytes() == R.tobytes()
+        assert f.velocity.tobytes() == v.tobytes()
+        assert f.position.tobytes() == p.tobytes()
+        assert f.contacts == fl
+    for s, (t, accel, gyro) in zip(sim.imu, imu):
+        assert s.timestamp == t
+        assert s.accel.tobytes() == accel.tobytes()
+        assert s.gyro.tobytes() == gyro.tobytes()
+    assert [c.flags for c in sim.contacts] == contacts

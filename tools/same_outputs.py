@@ -1,0 +1,127 @@
+"""Check that the working tree writes the same output files as a base revision.
+
+    python3 tools/same_outputs.py [BASE] [--seeds N [N ...]]
+
+For every seed it runs, on both trees:
+  * each benchmark workload (perfbench/workloads.py): the inputs are
+    made as the benchmark makes them, then `tenseg estimate` and
+    `tenseg evaluate` run on them;
+  * `tenseg pipeline` with the default config and with
+    `fk_covariance_mode = jacobian`.
+The base tree is a `git archive` of BASE (default HEAD); only its
+`src/` is used, and both trees run the working tree's workloads.  Every
+output file (sensors.jsonl, ground_truth.tum, estimate.tum,
+estimate_info.json, metrics.json, errors.csv, sim_info.json) is then
+compared byte for byte.  Exit status 0 means every file is identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("sensors.jsonl", "ground_truth.tum", "estimate.tum",
+           "estimate_info.json", "metrics.json", "errors.csv", "sim_info.json")
+PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n"}
+
+
+def produce(tree_src, out_dir, seeds):
+    """Write every run's outputs under out_dir with the tenseg in tree_src."""
+    import tenseg
+    from tenseg import cli
+    from perfbench.run import simulate
+    from perfbench.workloads import WORKLOADS
+
+    if Path(tenseg.__file__).resolve().parent != Path(tree_src, "tenseg").resolve():
+        raise SystemExit(f"imported {tenseg.__file__}, not the tree's own tenseg")
+    out_dir = Path(out_dir)
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([*argv, "--log-level", "WARNING"])
+        if rc != 0:
+            raise SystemExit(f"tenseg {' '.join(argv)} exited {rc}")
+
+    for seed in seeds:
+        for name, wl in WORKLOADS.items():
+            d = out_dir / f"{name}-seed{seed}"
+            d.mkdir(parents=True)
+            simulate(wl, seed, d)
+            (d / "run.cfg").write_text(
+                "".join(f"{k} = {v}\n" for k, v in wl.config.items()))
+            run(["estimate", "--out-dir", str(d), "--config", str(d / "run.cfg")])
+            run(["evaluate", "--out-dir", str(d)])
+        for name, text in PIPELINE_CONFIGS.items():
+            d = out_dir / f"pipeline-{name}-seed{seed}"
+            d.mkdir(parents=True)
+            (d / "run.cfg").write_text(text)
+            run(["pipeline", "--out-dir", str(d), "--seed", str(seed),
+                 "--config", str(d / "run.cfg")])
+
+
+def _extract(base, dest):
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", base, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _start(tree_src, out_dir, seeds):
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tree_src), str(ROOT),
+                                           str(ROOT / "tools")]))
+    code = ("import sys, same_outputs; "
+            "same_outputs.produce(sys.argv[1], sys.argv[2], "
+            "[int(s) for s in sys.argv[3:]])")
+    return subprocess.Popen(
+        [sys.executable, "-c", code, str(tree_src), str(out_dir),
+         *map(str, seeds)], env=env, cwd=out_dir.parent)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", nargs="?", default="HEAD",
+                        help="git revision to compare against (default HEAD)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 3, 11])
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        _extract(args.base, tmp / "base")
+        trees = {"base": tmp / "base" / "src", "work": ROOT / "src"}
+        procs = []
+        for side, src in trees.items():
+            (tmp / side / "out").mkdir(parents=True, exist_ok=True)
+            procs.append(_start(src, tmp / side / "out", args.seeds))
+        if any(p.wait() != 0 for p in procs):
+            print("a run failed; nothing compared", file=sys.stderr)
+            return 2
+
+        differ = compared = 0
+        for run_dir in sorted((tmp / "base" / "out").iterdir()):
+            other = tmp / "work" / "out" / run_dir.name
+            for name in OUTPUTS:
+                a, b = run_dir / name, other / name
+                if not (a.exists() or b.exists()):
+                    continue
+                compared += 1
+                same = a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)
+                if not same:
+                    differ += 1
+                    print(f"DIFFER {run_dir.name}/{name}")
+        print(f"{compared - differ} of {compared} files identical "
+              f"(base {args.base}, seeds {' '.join(map(str, args.seeds))})")
+        return 1 if differ or not compared else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
