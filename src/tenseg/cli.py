@@ -23,11 +23,14 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .evaluate import (
     EvaluationError,
     Trajectory,
-    align_initial,
-    drift_metrics,
+    align_initial,  # noqa: F401  (perfbench/trace.py patches this name)
+    drift_metrics,  # noqa: F401  (perfbench/trace.py patches this name)
+    evaluate_run,
 )
 from .inekf import (
     CalibrationError,
@@ -165,18 +168,15 @@ def cmd_evaluate(args, cfg):
         args.out_dir, "estimate.tum")
     ref_path = getattr(args, "truth", None) or os.path.join(
         args.out_dir, "ground_truth.tum")
-    est = Trajectory(*read_trajectory(est_path))
-    ref = Trajectory(*read_trajectory(ref_path))
-    aligned, _, _ = align_initial(est, ref)
-    report = drift_metrics(aligned, ref)
+    report = evaluate_run(Trajectory(*read_trajectory(est_path)),
+                          Trajectory(*read_trajectory(ref_path)))
     with open(os.path.join(args.out_dir, "metrics.json"), "w") as f:
         json.dump(report.as_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
+    rows = np.column_stack((report.timestamps, report.position_errors)).tolist()
     with open(os.path.join(args.out_dir, "errors.csv"), "w") as f:
         f.write("t,ex,ey,ez\n")
-        for t, e in zip(report.timestamps, report.position_errors):
-            f.write("%s,%s,%s,%s\n" % tuple(repr(float(v))
-                                            for v in (t, e[0], e[1], e[2])))
+        f.writelines(",".join(map(float.__repr__, row)) + "\n" for row in rows)
     log.info("drift %.2f%% over %.2f m (RPE %.4f m/m)",
              report.drift_pct, report.path_length, report.rpe_rmse)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

@@ -58,6 +58,20 @@ class ImuSample:
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 
+    @classmethod
+    def _trusted(cls, timestamp, accel, gyro):
+        """Sample from fresh finite float 3-vectors the caller has checked
+        and gives up; the arrays become read-only.  Attributes are set one
+        by one, as the public constructor does, so no per-instance dict
+        is materialized for the many samples a log holds."""
+        accel.flags.writeable = False
+        gyro.flags.writeable = False
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "timestamp", timestamp)
+        object.__setattr__(sample, "accel", accel)
+        object.__setattr__(sample, "gyro", gyro)
+        return sample
+
 
 @dataclass(frozen=True)
 class ImuBias:

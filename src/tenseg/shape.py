@@ -19,6 +19,7 @@ J_p (finite-difference Jacobian of h_p w.r.t. the cable lengths).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,7 @@ def canonical_prism(cfg: ShapeSolverConfig, radius_frac=0.35, twist=5.0 * np.pi 
     radius = radius_frac * cfg.L_rod
     for tw in (twist, -twist):
         q = prism_from_parameters(cfg, radius, tw)
-        if check_constraints(RobotShape(0.0, q), cfg).passed:
+        if _constraints_pass(q, cfg):
             return q
     raise ShapeSolverFailure("no chirality-feasible canonical prism found")
 
@@ -424,23 +425,28 @@ class ConstraintReport:
         return [k for k, v in self.margins.items() if v < 0]
 
 
+_MARGIN_NAMES = ("fixed_q0", "fixed_q1", "upper_half_plane",
+                 "lower_half_plane", "rod_lengths") + _INEQ_NAMES[4:]
+
+
+def _margins(q, cfg: ShapeSolverConfig):
+    """The 11 constraint margins of endcaps q, in _MARGIN_NAMES order."""
+    vals = _inequality_values(q)[0].tolist()
+    fixed = np.abs(q[:2] - base_rod_endcaps(cfg)).max(axis=1).tolist()
+    rod_err = max(abs(math.sqrt(d.dot(d)) - cfg.L_rod)
+                  for d in q[0::2] - q[1::2])
+    return (cfg.rod_tol - fixed[0], cfg.rod_tol - fixed[1],
+            min(vals[0], vals[1]), min(vals[2], vals[3]),
+            cfg.rod_tol - rod_err, *vals[4:])
+
+
+def _constraints_pass(q, cfg: ShapeSolverConfig):
+    """check_constraints(...).passed without building the report."""
+    return all(v >= 0 for v in _margins(q, cfg))
+
+
 def check_constraints(shape: RobotShape, cfg: ShapeSolverConfig) -> ConstraintReport:
-    q = shape.q
-    q0, q1 = base_rod_endcaps(cfg)
-    margins = {}
-    margins["fixed_q0"] = cfg.rod_tol - np.max(np.abs(q[0] - q0))
-    margins["fixed_q1"] = cfg.rod_tol - np.max(np.abs(q[1] - q1))
-    vals, _ = _inequality_values(q)
-    margins["upper_half_plane"] = min(vals[0], vals[1])
-    margins["lower_half_plane"] = min(vals[2], vals[3])
-    rod_err = max(
-        abs(np.linalg.norm(q[0] - q[1]) - cfg.L_rod),
-        abs(np.linalg.norm(q[2] - q[3]) - cfg.L_rod),
-        abs(np.linalg.norm(q[4] - q[5]) - cfg.L_rod),
-    )
-    margins["rod_lengths"] = cfg.rod_tol - rod_err
-    for name, v in zip(_INEQ_NAMES[4:], vals[4:]):
-        margins[name] = v
+    margins = dict(zip(_MARGIN_NAMES, _margins(shape.q, cfg)))
     return ConstraintReport(margins=margins, passed=all(v >= 0 for v in margins.values()))
 
 
@@ -509,10 +515,6 @@ class _Iterate:
             viol = float(max(np.max(np.abs(self.c)), max(0.0, -np.min(self.gt))))
             self._kkt = kkt, viol
         return self._kkt
-
-
-_SQRT2 = np.sqrt(2.0)
-_EYE12 = np.eye(12)
 
 
 def _al_residual(it, lam_eq, lam_in, mu):
@@ -669,8 +671,8 @@ def _reconstruct_once(meas, prior, cfg):
     q[2:] = _align_gauge(it.x.reshape(4, 3), x_start.reshape(4, 3))
     r, _ = _cable_residual(q, lengths)
     shape = RobotShape(meas.timestamp, q, residual=float(r @ r))
-    report = check_constraints(shape, cfg)
-    if not report.passed or not converged:
+    if not (converged and _constraints_pass(q, cfg)):
+        report = check_constraints(shape, cfg)
         raise ShapeSolverFailure(
             f"shape solve did not converge (converged={converged}, "
             f"failing constraints: {report.failing()})",

@@ -321,32 +321,41 @@ def corrupt(sim: SimOutput, noise: NoiseConfig = None, seed=0,
     if noise is None:
         noise = NoiseConfig()
     rng = np.random.default_rng(seed)
+    n = len(sim.imu)
     dt = 1.0 / sim.config.imu_rate
     root = 1.0 / np.sqrt(dt)
-    bg = np.zeros(3)
-    ba = np.zeros(3)
-    imu = []
-    for s in sim.imu:
-        bg = bg + noise.sigma_gyro_bias * np.sqrt(dt) * rng.normal(size=3)
-        ba = ba + noise.sigma_accel_bias * np.sqrt(dt) * rng.normal(size=3)
-        imu.append(ImuSample(
-            s.timestamp,
-            s.accel + ba + noise.sigma_accel * root * rng.normal(size=3),
-            s.gyro + bg + noise.sigma_gyro * root * rng.normal(size=3)))
+    # the per-sample draws in sample order: gyro bias step, accel bias
+    # step, accel noise, gyro noise
+    z = rng.normal(size=(n, 4, 3))
+    # random walks from zero; the leading zero row keeps 0.0 + step exact
+    walks = np.zeros((n + 1, 2, 3))
+    walks[1:, 0] = noise.sigma_gyro_bias * np.sqrt(dt) * z[:, 0]
+    walks[1:, 1] = noise.sigma_accel_bias * np.sqrt(dt) * z[:, 1]
+    np.cumsum(walks, axis=0, out=walks)
+    bg, ba = walks[1:, 0], walks[1:, 1]
+    accel = np.array([s.accel for s in sim.imu]).reshape(n, 3) + ba \
+        + noise.sigma_accel * root * z[:, 2]
+    gyro = np.array([s.gyro for s in sim.imu]).reshape(n, 3) + bg \
+        + noise.sigma_gyro * root * z[:, 3]
+    # the public constructor raises the error a non-finite sample gets
+    make = ImuSample._trusted if np.isfinite(accel).all() \
+        and np.isfinite(gyro).all() else ImuSample
+    imu = [make(s.timestamp, a.copy(), g.copy())
+           for s, a, g in zip(sim.imu, accel, gyro)]
 
     cables = sim.cables
     if cable_noise > 0.0:
+        draws = rng.normal(scale=cable_noise, size=(len(cables), 9))
         cables = tuple(
-            CableMeasurements.from_vector(
-                c.timestamp,
-                c.as_vector() + rng.normal(scale=cable_noise, size=9))
-            for c in sim.cables)
+            CableMeasurements.from_vector(c.timestamp, c.as_vector() + d)
+            for c, d in zip(sim.cables, draws))
 
     contacts = sim.contacts
     if chatter > 0.0:
+        flips = (rng.random(size=(len(contacts), 6)) < chatter).tolist()
         contacts = tuple(
             ContactVector(c.timestamp, tuple(
-                (not f) if rng.random() < chatter else f for f in c.flags))
-            for c in sim.contacts)
+                (not f) if flip else f for f, flip in zip(c.flags, fl)))
+            for c, fl in zip(sim.contacts, flips))
 
     return replace(sim, imu=tuple(imu), cables=cables, contacts=contacts)

@@ -502,3 +502,48 @@ def test_kernels_equal_reference_formulation_bitwise():
         for kernel, reference, args in pairs:
             for a, b in zip(kernel(q, *args), reference(q, *args)):
                 assert _same_bits(a, b)
+
+
+def _reference_check_constraints(shape, cfg):
+    """The 11 margins as check_constraints first computed them, one
+    numpy expression per group."""
+    q = shape.q
+    q0, q1 = base_rod_endcaps(cfg)
+    margins = {}
+    margins["fixed_q0"] = cfg.rod_tol - np.max(np.abs(q[0] - q0))
+    margins["fixed_q1"] = cfg.rod_tol - np.max(np.abs(q[1] - q1))
+    vals, _ = tenseg.shape._inequality_values(q)
+    margins["upper_half_plane"] = min(vals[0], vals[1])
+    margins["lower_half_plane"] = min(vals[2], vals[3])
+    rod_err = max(
+        abs(np.linalg.norm(q[0] - q[1]) - cfg.L_rod),
+        abs(np.linalg.norm(q[2] - q[3]) - cfg.L_rod),
+        abs(np.linalg.norm(q[4] - q[5]) - cfg.L_rod),
+    )
+    margins["rod_lengths"] = cfg.rod_tol - rod_err
+    for name, v in zip(tenseg.shape._INEQ_NAMES[4:], vals[4:]):
+        margins[name] = v
+    return ConstraintReport(margins=margins,
+                            passed=all(v >= 0 for v in margins.values()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_constraint_margins_equal_reference_bitwise():
+    rng = np.random.default_rng(41)
+    q_ref = asymmetric_stance(CFG)
+    passed = 0
+    for k in range(3000):
+        q = q_ref + rng.normal(scale=10.0 ** rng.uniform(-9, -1), size=(6, 3))
+        if k % 3:
+            q[:2] = q_ref[:2] + rng.normal(scale=1e-6, size=(2, 3)) * (k % 2)
+        if k % 40 == 0:
+            q[rng.integers(6), rng.integers(3)] = rng.choice(
+                [np.nan, np.inf, -np.inf, -0.0])
+        shape = RobotShape(0.0, q)
+        ours, ref = check_constraints(shape, CFG), _reference_check_constraints(shape, CFG)
+        assert list(ours.margins) == list(ref.margins)
+        assert (np.array(list(ours.margins.values())).tobytes()
+                == np.array(list(ref.margins.values())).tobytes())
+        assert ours.passed == ref.passed == tenseg.shape._constraints_pass(q, CFG)
+        passed += ours.passed
+    assert 300 < passed < 2700
