@@ -35,13 +35,9 @@ from .evaluate import (
 from .inekf import (
     CalibrationError,
     ContactAidedFilter,
-    ContactVector,
     FilterConfig,
     FilterError,
-    ImuSample,
     NoiseConfig,
-    init_bias_calibration,
-    initial_state,
 )
 from .logio import (
     ConfigError,
@@ -53,7 +49,7 @@ from .logio import (
     write_sensor_log,
     write_trajectory,
 )
-from .shape import CableMeasurements, ShapeError
+from .shape import ShapeError
 from .simulator import SimConfig, SimulationError, corrupt, generate
 
 log = logging.getLogger("tenseg")
@@ -120,39 +116,19 @@ def cmd_estimate(args, cfg):
     sensors = getattr(args, "sensors", None) or os.path.join(
         args.out_dir, "sensors.jsonl")
     _, events = read_sensor_log(sensors)
-    noise = _noise_config(cfg)
-    calib_dur = config_get(cfg, "calibration_duration", 2.0, float)
-
-    imu_events = [e for e in events if isinstance(e, ImuSample)]
-    if not imu_events:
-        raise LogFormatError(f"{sensors}: no IMU records")
-    t_begin = imu_events[0].timestamp
-    calib = [e for e in imu_events if e.timestamp <= t_begin + calib_dur]
-    bias, R0 = init_bias_calibration(calib, calib_dur, noise)
-    t_start = calib[-1].timestamp
-    log.info("calibrated on %d samples; gyro bias %s", len(calib), bias.gyro)
-
-    filt = ContactAidedFilter(
-        initial_state(R0, bias, t_start),
+    filt = ContactAidedFilter.calibrated(
+        events, config_get(cfg, "calibration_duration", 2.0, float),
         FilterConfig(
             debounce_on=config_get(cfg, "debounce_on", 2, int),
             debounce_off=config_get(cfg, "debounce_off", 2, int),
-            noise=noise))
+            noise=_noise_config(cfg)))
+    log.info("calibrated until t = %s s; gyro bias %s",
+             filt.t_start, filt.state.bias.gyro)
     ts, ps, Rs = [], [], []
-    for e in events:
-        if e.timestamp <= t_start:
-            if isinstance(e, CableMeasurements):
-                filt.process_cables(e)   # warm the shape during calibration
-            continue
-        if isinstance(e, ImuSample):
-            filt.process_imu(e)
-            ts.append(e.timestamp)
-            ps.append(filt.state.position)
-            Rs.append(filt.state.rotation)
-        elif isinstance(e, CableMeasurements):
-            filt.process_cables(e)
-        elif isinstance(e, ContactVector):
-            filt.process_contacts(e)
+    for imu in filt.run(events):
+        ts.append(imu.timestamp)
+        ps.append(filt.state.position)
+        Rs.append(filt.state.rotation)
     write_trajectory(os.path.join(args.out_dir, "estimate.tum"), ts, ps, Rs)
     info = {"samples": len(ts), "solver_failures": filt.solver_failures,
             "active_contacts": list(filt.state.active_contacts)}

@@ -52,10 +52,6 @@ class Trajectory:
         return float(np.sum(np.linalg.norm(np.diff(self.positions, axis=0),
                                            axis=1)))
 
-    def arc_lengths(self):
-        d = np.linalg.norm(np.diff(self.positions, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(d)])
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -33,7 +33,8 @@ from .liegroup import (
     skew,
     so3_exp,
 )
-from .shape import RobotShape, ShapeSolverConfig, h_p, h_R
+from . import shape
+from .shape import CableMeasurements, RobotShape, h_p, h_R
 
 
 class FilterError(Exception):
@@ -211,11 +212,6 @@ class EstimatorState:
     def contact_slice(self, endcap):
         i = self.active_contacts.index(endcap)
         return slice(9 + 3 * i, 12 + 3 * i)
-
-    @property
-    def bias_slice(self):
-        k = 9 + 3 * len(self.active_contacts)
-        return slice(k, k + 6)
 
 
 def initial_state(rotation, bias: ImuBias, timestamp,
@@ -519,11 +515,14 @@ class FilterConfig:
     debounce_on: int = 2     # consecutive in-contact samples before augmenting
     debounce_off: int = 2    # consecutive off-contact samples before dropping
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    solver: ShapeSolverConfig = field(default_factory=ShapeSolverConfig)
 
     def __post_init__(self):
         if self.debounce_on < 1 or self.debounce_off < 1:
             raise ValueError("debounce counts must be >= 1")
+
+
+# Shape solves and FK Jacobians use the default solver settings.
+SHAPE_SOLVER = shape.ShapeSolverConfig()
 
 
 class ContactAidedFilter:
@@ -533,12 +532,15 @@ class ContactAidedFilter:
     (warm-started from the previous solution) and consumed by the next
     IMU step as a forward-kinematics correction for every active contact.
     Contact flags are debounced on both edges before the corresponding
-    state column is augmented or marginalized.
+    state column is augmented or marginalized.  Events reach the filter
+    only through run().
     """
 
     def __init__(self, state: EstimatorState, config: FilterConfig = None):
         self.state = state
         self.config = config if config is not None else FilterConfig()
+        # end of calibration: up to it, only cable frames reach the filter
+        self.t_start = state.timestamp
         self.shape = None
         self._shape_fresh = False
         self._on = [0] * 6
@@ -547,34 +549,62 @@ class ContactAidedFilter:
         self.corrections = []     # CorrectionInfo log (most recent step)
         self.solver_failures = 0
 
+    @classmethod
+    def calibrated(cls, events, duration, config: FilterConfig = None):
+        """Filter calibrated on the IMU samples within duration of the
+        first IMU sample in events; it starts at the last of them."""
+        config = config if config is not None else FilterConfig()
+        imu = [e for e in events if isinstance(e, ImuSample)]
+        if not imu:
+            raise ValueError("no IMU samples to calibrate on")
+        window = [s for s in imu if s.timestamp <= imu[0].timestamp + duration]
+        bias, R0 = init_bias_calibration(window, duration, config.noise)
+        return cls(initial_state(R0, bias, window[-1].timestamp), config)
+
+    def run(self, events):
+        """Apply events in log order; yield each IMU sample once taken.
+
+        Every cable frame is solved, so those stamped up to t_start warm
+        the shape; contacts and IMU samples count only after t_start.  A
+        sensor log orders records sharing a timestamp cable, contact, IMU.
+        """
+        t_start = self.t_start
+        for e in events:
+            if isinstance(e, CableMeasurements):
+                self.process_cables(e)
+            elif e.timestamp <= t_start:
+                continue
+            elif isinstance(e, ImuSample):
+                self.process_imu(e)
+                yield e
+            elif isinstance(e, ContactVector):
+                self.process_contacts(e)
+
     def _fk_jacobian(self, endcap):
         """FK Jacobian of one endcap; one J_p sweep serves all six per shape."""
         cfg = self.config.noise
         if cfg.fk_covariance_mode != "jacobian" or self.shape is None:
             return None
         if self._jacobians is None:
-            from .shape import J_p, CableMeasurements, JacobianUnavailable
             meas = CableMeasurements.from_vector(
                 self.shape.timestamp, self.shape.cable_lengths())
             try:
-                self._jacobians = J_p(meas, range(6), self.config.solver,
-                                      prior=self.shape)
-            except JacobianUnavailable:
+                self._jacobians = shape.J_p(meas, range(6), SHAPE_SOLVER,
+                                            prior=self.shape)
+            except shape.JacobianUnavailable:
                 self._jacobians = (None,) * 6
         return self._jacobians[endcap]
 
     def process_cables(self, meas):
         """Solve the shape for one cable frame; stale shape kept on failure."""
-        from .shape import (MeasurementRejected, ShapeSolverFailure,
-                            reconstruct_shape)
         try:
-            self.shape = reconstruct_shape(meas, self.shape, self.config.solver)
+            self.shape = shape.reconstruct_shape(meas, self.shape, SHAPE_SOLVER)
             self._shape_fresh = True
             self._jacobians = None
-        except MeasurementRejected:
+        except shape.MeasurementRejected:
             self.solver_failures += 1
             self._shape_fresh = False
-        except ShapeSolverFailure as err:
+        except shape.ShapeSolverFailure as err:
             self.solver_failures += 1
             self._shape_fresh = False
             if self.shape is None and err.best_shape is not None:
@@ -617,12 +647,3 @@ class ContactAidedFilter:
                     fk_jacobian=self._fk_jacobian(endcap))
                 self.corrections.append(info)
             self._shape_fresh = False
-
-    def step(self, imu: ImuSample, contacts: ContactVector = None,
-             cables=None):
-        """One fused tick: cable solve, contact edges, then the IMU update."""
-        if cables is not None:
-            self.process_cables(cables)
-        if contacts is not None:
-            self.process_contacts(contacts)
-        self.process_imu(imu)

@@ -91,10 +91,10 @@ def read_sensor_log(path):
     """Parse a sensor log; returns (header, events).
 
     Events are ImuSample / CableMeasurements / ContactVector instances
-    in file order.  IMU fields must be three finite numbers each and
-    contact flags a list of six JSON booleans.  Malformed lines and
-    backwards timestamps raise LogFormatError with the offending line
-    number.
+    in file order.  Timestamps must be finite, IMU fields three finite
+    numbers each and contact flags a list of six JSON booleans.
+    Malformed lines and backwards timestamps raise LogFormatError with
+    the offending line number.
     """
     header = None
     events = []
@@ -122,6 +122,8 @@ def read_sensor_log(path):
                 raise LogFormatError(f"{path}:1: missing header record")
             try:
                 t = float(rec["t"])
+                if not math.isfinite(t):
+                    raise ValueError("timestamp must be finite")
                 if t < last_t:
                     raise LogFormatError(
                         f"{path}:{lineno}: timestamp moved backwards")

@@ -113,7 +113,6 @@ class RobotShape:
 @dataclass(frozen=True)
 class ShapeSolverConfig:
     L_rod: float = 1.45
-    d_offset: float = 0.0
     rod_tol: float = 1e-6
     inequality_margin: float = 1e-4
     convergence_tol: float = 1e-8
@@ -133,8 +132,8 @@ class ShapeSolverConfig:
 def base_rod_endcaps(cfg: ShapeSolverConfig):
     """Pinned body-frame coordinates of q0 and q1."""
     half = cfg.L_rod / 2.0
-    q0 = np.array([0.0, 0.0, half - cfg.d_offset])
-    q1 = np.array([0.0, 0.0, -half - cfg.d_offset])
+    q0 = np.array([0.0, 0.0, half])
+    q1 = np.array([0.0, 0.0, -half])
     return q0, q1
 
 
@@ -162,12 +161,10 @@ def prism_from_parameters(cfg: ShapeSolverConfig, radius, twist):
         q[top_id] = [radius * np.cos(a_top), radius * np.sin(a_top), h / 2.0]
         q[bot_id] = [radius * np.cos(a_bot), radius * np.sin(a_bot), -h / 2.0]
 
-    # Rigid transform: base rod axis to +z, rod midpoint to [0, 0, -d_offset].
+    # Rigid transform: base rod axis to +z, rod midpoint to the origin.
     R = rotation_to_z((q[0] - q[1]) / L)
     mid = (q[0] + q[1]) / 2.0
-    q = (q - mid) @ R.T
-    q[:, 2] -= cfg.d_offset
-    return q
+    return (q - mid) @ R.T
 
 
 def canonical_prism(cfg: ShapeSolverConfig, radius_frac=0.35, twist=5.0 * np.pi / 6.0):
@@ -331,12 +328,6 @@ def _inequality_grads(cr, uv):
     return grads
 
 
-def _inequality_values_grads(q):
-    """Inequality values (10,) and gradients w.r.t. q2..q5 flattened (10, 12)."""
-    vals, parts = _inequality_values(q)
-    return vals, _inequality_grads(*parts)
-
-
 _INEQ_NAMES = ("upper_z_q2", "upper_z_q4", "lower_z_q3", "lower_z_q5",
                "no_cross_r23", "no_cross_r45", "no_cross_r01",
                "chirality_024", "chirality_120", "chirality_240")
@@ -377,12 +368,6 @@ def _cable_jacobian(diff, norms):
     return Jr.reshape(9, 12)
 
 
-def _cable_residual_grad(q, lengths):
-    """Cable length residuals (9,) and their Jacobian w.r.t. free vars."""
-    r, parts = _cable_residual(q, lengths)
-    return r, _cable_jacobian(*parts)
-
-
 def _rod_eq_residual(q, L):
     """Rod-length equality residuals for r23, r45, plus their differences and norms."""
     d = q.take(_ROD_I, axis=0)
@@ -398,12 +383,6 @@ def _rod_eq_jacobian(d, n):
     Jc[_JC_I] = u.ravel()
     Jc[_JC_J] = -u.ravel()
     return Jc.reshape(2, 12)
-
-
-def _rod_eq_residual_grad(q, L):
-    """Rod-length equality residuals for r23, r45 and their Jacobians."""
-    c, parts = _rod_eq_residual(q, L)
-    return c, _rod_eq_jacobian(*parts)
 
 
 # ---------------------------------------------------------------------------

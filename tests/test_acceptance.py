@@ -13,18 +13,8 @@ import pytest
 
 import test_inekf as inekf_suite
 from tenseg.cli import main as cli_main
-from tenseg.evaluate import Trajectory, drift_percent, evaluate_run
-from tenseg.inekf import (
-    ContactAidedFilter,
-    FilterConfig,
-    ImuBias,
-    NoiseConfig,
-    correct_contact,
-    init_bias_calibration,
-    initial_state,
-    propagate,
-)
-from tenseg.inekf import ImuSample
+from tenseg.evaluate import drift_percent
+from tenseg.inekf import ImuSample, NoiseConfig, correct_contact, propagate
 from tenseg.liegroup import GroupElement, compose, embedding, inverse, sek3_exp, sek3_log, so3_exp
 from tenseg.shape import (
     CableMeasurements,
@@ -83,43 +73,21 @@ def test_criterion_1_shape_rmse_and_runtime(capsys):
 # criterion 2: drift on the three maneuvers
 
 
-def _run_estimator(sim, noisy):
-    ncfg = NoiseConfig()
-    calib = [s for s in noisy.imu if s.timestamp <= 2.0]
-    bias, R0 = init_bias_calibration(calib, 2.0, ncfg)
-    filt = ContactAidedFilter(initial_state(R0, bias, calib[-1].timestamp),
-                              FilterConfig(noise=ncfg))
-    cab = {round(c.timestamp * 1000): c for c in noisy.cables}
-    con = {round(c.timestamp * 1000): c for c in noisy.contacts}
-    ts, ps, Rs = [], [], []
-    for s in noisy.imu:
-        if s.timestamp <= filt.state.timestamp:
-            continue
-        k = round(s.timestamp * 1000)
-        filt.step(s, contacts=con.get(k), cables=cab.get(k))
-        ts.append(s.timestamp)
-        ps.append(filt.state.position)
-        Rs.append(filt.state.rotation)
-    return Trajectory(np.array(ts), np.array(ps), np.array(Rs))
-
-
 @pytest.mark.parametrize("maneuver", ["forward", "backward", "right_turn"])
-def test_criterion_2_drift(capsys, maneuver):
+def test_criterion_2_drift(capsys, tmp_path, maneuver):
     t0 = time.perf_counter()
-    sim = generate(SimConfig(maneuver=maneuver))
-    noisy = corrupt(sim, seed=42, cable_noise=0.005)
-    est = _run_estimator(sim, noisy)
-    ref = Trajectory(np.array([f.timestamp for f in sim.frames]),
-                     np.array([f.position for f in sim.frames]),
-                     np.array([f.rotation for f in sim.frames]))
-    report = evaluate_run(est, ref)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"maneuver = {maneuver}\ncable_noise = 0.005\n")
+    assert cli_main(["pipeline", "--out-dir", str(tmp_path), "--seed", "42",
+                     "--config", str(cfg_path), "--log-level", "ERROR"]) == 0
     wall = time.perf_counter() - t0
-    ok = report.drift_pct <= 8.0 and wall < 60.0
+    report = json.loads((tmp_path / "metrics.json").read_text())
+    ok = report["drift_pct"] <= 8.0 and wall < 60.0
     emit(capsys, ok,
          "criterion 2 (%s): drift %.2f%% (<= 8%%) over %.2f m, "
          "RPE %.4f m/m, wall %.1f s (< 60)"
-         % (maneuver, report.drift_pct, report.path_length,
-            report.rpe_rmse, wall))
+         % (maneuver, report["drift_pct"], report["path_length_m"],
+            report["rpe_rmse_m_per_m"], wall))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from tenseg.liegroup import (
     sek3_exp,
     sek3_log,
     so3_exp,
-    skew,
 )
+from tenseg.logio import read_sensor_log, write_sensor_log
 from tenseg.shape import (
     CableMeasurements,
     RobotShape,
@@ -473,42 +473,80 @@ def stance_cables(t=0.0):
     return CableMeasurements.from_vector(t, RobotShape(t, Q_STANCE).cable_lengths())
 
 
+def stance_log(flags, n):
+    """n IMU ticks at rest with fixed contact flags; a stance cable frame
+    comes with every second tick."""
+    events = []
+    for k in range(1, n + 1):
+        cables = [stance_cables(k * DT)] if k % 2 == 0 else []
+        events += cables + [ContactVector(k * DT, flags), imu_at(k * DT)]
+    return events
+
+
 def test_driver_debounces_contact_flicker():
     f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0))
-    f.process_cables(stance_cables())
     flags_on = [False, True, False, True, False, True]
-    f.step(imu_at(DT), contacts=ContactVector(DT, flags_on))
-    f.step(imu_at(2 * DT), contacts=ContactVector(2 * DT, [False] * 6))
-    f.step(imu_at(3 * DT), contacts=ContactVector(3 * DT, flags_on))
+    list(f.run([stance_cables(),
+                ContactVector(DT, flags_on), imu_at(DT),
+                ContactVector(2 * DT, [False] * 6), imu_at(2 * DT),
+                ContactVector(3 * DT, flags_on), imu_at(3 * DT)]))
     assert f.state.active_contacts == ()
 
 
 def test_driver_augments_and_drops_on_clean_edges():
     f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0))
-    f.process_cables(stance_cables())
-    on = ContactVector(0.0, [i == 3 for i in range(6)])
-    off = ContactVector(0.0, [False] * 6)
-    f.step(imu_at(DT), contacts=on)
-    assert f.state.active_contacts == ()
-    f.step(imu_at(2 * DT), contacts=on)
-    assert f.state.active_contacts == (3,)
-    f.step(imu_at(3 * DT), contacts=off)
-    assert f.state.active_contacts == (3,)
-    f.step(imu_at(4 * DT), contacts=off)
-    assert f.state.active_contacts == ()
+    on = [i == 3 for i in range(6)]
+    events = [stance_cables()]
+    for k, flags in enumerate((on, on, [False] * 6, [False] * 6), start=1):
+        events += [ContactVector(k * DT, flags), imu_at(k * DT)]
+    steps = f.run(events)
+    for expected in ((), (3,), (3,), ()):
+        next(steps)
+        assert f.state.active_contacts == expected
 
 
 def test_driver_static_run_tracks_truth():
     f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0))
     flags = [i in (1, 3, 5) for i in range(6)]
-    for k in range(1, 101):
-        t = k * DT
-        cables = stance_cables(t) if k % 2 == 0 else None
-        f.step(imu_at(t), contacts=ContactVector(t, flags), cables=cables)
+    assert len(list(f.run(stance_log(flags, 100)))) == 100
     assert f.state.active_contacts == (1, 3, 5)
     assert np.linalg.norm(f.state.position) < 1e-3
     assert np.linalg.norm(f.state.velocity) < 1e-3
     assert f.corrections and all(c.applied for c in f.corrections)
+
+
+def test_driver_warms_shape_until_calibration_end_then_follows_log_order(
+        tmp_path, monkeypatch):
+    imu = static_samples(260)
+    t_end, t1 = imu[200].timestamp, imu[201].timestamp
+    t_next = float(np.nextafter(t_end, np.inf))
+    path = tmp_path / "sensors.jsonl"
+    write_sensor_log(path, imu,
+                     [stance_cables(t) for t in (0.5, t_end, t_next, t1)],
+                     [ContactVector(t, [False] * 6) for t in (t_end, t_next, t1)], 0)
+    _, events = read_sensor_log(path)
+    calls = []   # (method, event stamp, stamp of the shape it starts from)
+    for name in ("cables", "contacts", "imu"):
+        def recorded(self, event, name=name,
+                     method=getattr(ContactAidedFilter, "process_" + name)):
+            calls.append((name, event.timestamp, self.shape and self.shape.timestamp))
+            method(self, event)
+        monkeypatch.setattr(ContactAidedFilter, "process_" + name, recorded)
+    f = ContactAidedFilter.calibrated(events, 1.0)
+    assert f.t_start == t_end
+    steps = f.run(events)
+    assert next(steps).timestamp == t1
+    # up to t_end only cable frames count, and they warm the shape; after
+    # it, records sharing a stamp apply cable, contact, then IMU
+    assert calls == [("cables", 0.5, None), ("cables", t_end, 0.5),
+                     ("cables", t_next, t_end), ("contacts", t_next, t_next),
+                     ("cables", t1, t_next), ("contacts", t1, t1), ("imu", t1, t1)]
+    assert len(list(steps)) == 58
+
+
+def test_calibrated_needs_imu_samples():
+    with pytest.raises(ValueError):
+        ContactAidedFilter.calibrated([stance_cables(0.0)], 1.0)
 
 
 def test_driver_keeps_stale_shape_on_bad_measurement():
@@ -533,15 +571,10 @@ def test_driver_one_J_p_sweep_per_fresh_shape(monkeypatch):
     cfg = FilterConfig(noise=replace(CFG, fk_covariance_mode="jacobian"))
     f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0), cfg)
     flags = [i in (1, 3) for i in range(6)]
-    fresh = []
-    for k in range(1, 9):
-        t = k * DT
-        cables = stance_cables(t) if k % 2 == 0 else None
-        f.step(imu_at(t), contacts=ContactVector(t, flags), cables=cables)
-        assert f.state.active_contacts == ((1, 3) if k >= 2 else ())
-        if cables is not None:
-            fresh.append(t)
-            assert len(f.corrections) == 2
+    fresh = [k * DT for k in range(2, 9, 2)]
+    for imu in f.run(stance_log(flags, 8)):
+        assert f.state.active_contacts == ((1, 3) if imu.timestamp > DT else ())
+        assert len(f.corrections) == (2 if imu.timestamp in fresh else 0)
     assert calls == fresh
 
 

@@ -460,6 +460,15 @@ BAD_LOGS = [
     ([HEADER, "[" * 100000 + "]" * 100000],
      ":2: bad JSON (maximum recursion depth exceeded while decoding a JSON "
      "array from a unicode string)", False),
+    # non-finite timestamps; after a NaN the backwards check never fired
+    ([HEADER, IMU.replace("0.1", "NaN", 1)],
+     ":2: invalid record (timestamp must be finite)", False),
+    ([HEADER, IMU.replace("0.1", "0.5", 1), IMU.replace("0.1", "NaN", 1), IMU],
+     ":3: invalid record (timestamp must be finite)", False),
+    ([HEADER, IMU, IMU.replace("0.1", "Infinity", 1)],
+     ":3: invalid record (timestamp must be finite)", False),
+    ([HEADER, IMU.replace("0.1", "-Infinity", 1)],
+     ":2: invalid record (timestamp must be finite)", False),
 ]
 
 

@@ -6,8 +6,9 @@ For every seed it runs, on both trees:
   * each benchmark workload (perfbench/workloads.py): the inputs are
     made as the benchmark makes them, then `tenseg estimate` and
     `tenseg evaluate` run on them;
-  * `tenseg pipeline` with the default config and with
-    `fk_covariance_mode = jacobian`.
+  * `tenseg pipeline` with the default config, with
+    `fk_covariance_mode = jacobian`, and with `maneuver = backward` and
+    `cable_noise = 0.005`.
 The base tree is a `git archive` of BASE (default HEAD); only its
 `src/` is used, and both trees run the working tree's workloads.  Every
 output file (sensors.jsonl, ground_truth.tum, estimate.tum,
@@ -31,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("sensors.jsonl", "ground_truth.tum", "estimate.tum",
            "estimate_info.json", "metrics.json", "errors.csv", "sim_info.json")
-PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n"}
+PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n",
+                    "backward": "maneuver = backward\ncable_noise = 0.005\n"}
 
 
 def produce(tree_src, out_dir, seeds):
