@@ -48,6 +48,14 @@ def _json_float(v):
     return float.__repr__(v)
 
 
+def _number(v, name):
+    """float(v) of a JSON number or numeric string; JSON booleans, which
+    float() would take as 0.0 and 1.0, are refused."""
+    if type(v) is bool:
+        raise ValueError(f"{name} must be a number, got {json.dumps(v)}")
+    return float(v)
+
+
 def _finite3(v, name):
     """A fresh float array of a JSON list of three finite numbers."""
     if len(v) != 3 or not all(map(math.isfinite, v)):
@@ -91,8 +99,10 @@ def read_sensor_log(path):
     """Parse a sensor log; returns (header, events).
 
     Events are ImuSample / CableMeasurements / ContactVector instances
-    in file order.  Timestamps must be finite, IMU fields three finite
-    numbers each and contact flags a list of six JSON booleans.
+    in file order.  Timestamps must be finite, timestamps and cable
+    lengths numbers (or numeric strings) rather than JSON booleans, IMU
+    fields three finite numbers each and contact flags a list of six
+    JSON booleans.
     Malformed lines and backwards timestamps raise LogFormatError with
     the offending line number.
     """
@@ -121,7 +131,7 @@ def read_sensor_log(path):
             if header is None:
                 raise LogFormatError(f"{path}:1: missing header record")
             try:
-                t = float(rec["t"])
+                t = _number(rec["t"], "timestamp")
                 if not math.isfinite(t):
                     raise ValueError("timestamp must be finite")
                 if t < last_t:
@@ -138,7 +148,8 @@ def read_sensor_log(path):
                     lengths = {}
                     for key, val in rec["l"].items():
                         i, j = key.split("-")
-                        lengths[(int(i), int(j))] = float(val)
+                        lengths[(int(i), int(j))] = _number(val,
+                                                            "cable length")
                     events.append(CableMeasurements(t, lengths))
                 elif kind == "contact":
                     c = rec["c"]

@@ -15,19 +15,32 @@ Streams:
   * cable lengths (constant, since the body is rigid),
   * per-endcap contact flags from a 1 mm terrain clearance test.
 
+Every stream is evaluated array-at-once: the sample times of each grid
+are sorted into trajectory segments with one searchsorted, and each
+segment's poses are computed in one stacked pass.  The arrays give the
+same bits as evaluating one time at a time with liegroup.so3_exp, which
+holds because
+  * elementwise ufuncs (np.sin, np.cos, +, *, /) round each element as
+    the scalar operation does;
+  * stacked matmul runs the same BLAS call per 3x3 slice as a 2-D `@`,
+    also for the row dot product (n,1,3)@(n,3,1) that stands in for
+    phi.dot(phi); np.einsum sums in another order and does not match;
+  * array `**` takes a vectorized pow that differs from the scalar
+    pow() in the last bit, so powers go through Python floats (_pow).
+
 corrupt() overlays sensor noise: white IMU noise scaled to the sample
 rate, random-walk IMU biases, optional cable noise and contact chatter.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .inekf import ContactVector, ImuSample, NoiseConfig
-from .liegroup import rotation_to_z, so3_exp
+from .liegroup import SMALL_ANGLE, rotation_to_z, so3_exp
 from .shape import (
     CableMeasurements,
     RobotShape,
@@ -67,6 +80,19 @@ class SimConfig:
             raise ValueError(f"unknown maneuver {self.maneuver!r}")
         if self.terrain not in ("flat", "valley"):
             raise ValueError(f"unknown terrain {self.terrain!r}")
+        if self.target_length is not None \
+                and not 0.0 < self.target_length < math.inf:
+            raise ValueError("target_length must be positive and finite, "
+                             f"got {self.target_length!r}")
+        for name in ("imu_rate", "cable_rate", "contact_rate",
+                     "pivot_duration"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("dwell", "final_dwell"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)!r}")
 
     @property
     def length(self):
@@ -75,8 +101,10 @@ class SimConfig:
         return _DEFAULT_LENGTH[self.maneuver]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthFrame:
+    """Pose at one IMU-rate time; slotted, as a run keeps thousands."""
+
     timestamp: float
     rotation: np.ndarray
     velocity: np.ndarray
@@ -96,21 +124,53 @@ class SimOutput:
 
 
 def terrain_height(cfg: SimConfig, x, y):
+    """Terrain height at (x, y); arrays of points give an array."""
     if cfg.terrain == "flat":
         return 0.0
     slope = np.tan(np.deg2rad(cfg.valley_slope_deg))
-    return slope * max(0.0, abs(y) - cfg.valley_half_width)
+    return slope * np.maximum(np.abs(y) - cfg.valley_half_width, 0.0)
+
+
+def _pow(x, k):
+    """x ** k of each element, rounded as np.float64 ** k rounds it."""
+    return np.array([v ** k for v in x.tolist()])
 
 
 def _smoothstep(tau):
-    """Quintic smoothstep and its first derivative on [0, 1]."""
-    s = tau**3 * (10.0 - 15.0 * tau + 6.0 * tau**2)
-    ds = 30.0 * tau**2 * (1.0 - tau)**2
+    """Quintic smoothstep and its first derivative on [0, 1], elementwise."""
+    tau2, tau3 = _pow(tau, 2), _pow(tau, 3)
+    s = tau3 * (10.0 - 15.0 * tau + 6.0 * tau2)
+    ds = 30.0 * tau2 * _pow(1.0 - tau, 2)
     return s, ds
 
 
+def _so3_exp_rows(phi):
+    """liegroup.so3_exp of each row of phi (n, 3), stacked (n, 3, 3)."""
+    n = len(phi)
+    # the row dot products as so3_exp's phi.dot(phi)
+    theta = np.sqrt(phi[:, None, :] @ phi[:, :, None]).reshape(n)
+    x, y, z = phi.T
+    S = np.zeros((n, 3, 3))
+    S[:, 0, 1], S[:, 0, 2] = -z, y
+    S[:, 1, 0], S[:, 1, 2] = z, -x
+    S[:, 2, 0], S[:, 2, 1] = -y, x
+    # the small-angle series is the general form with a = 1, b = 1/2
+    a, b = np.ones(n), np.full(n, 0.5)
+    big = ~(theta < SMALL_ANGLE)
+    th = theta[big]
+    a[big] = np.sin(th) / th
+    b[big] = (1.0 - np.cos(th)) / _pow(th, 2)
+    return np.eye(3) + a[:, None, None] * S + b[:, None, None] * (S @ S)
+
+
+def _touching(cfg, verts):
+    """Contact flags of the vertices (..., 3): clearance below CONTACT_TOL."""
+    return verts[..., 2] - terrain_height(
+        cfg, verts[..., 0], verts[..., 1]) < CONTACT_TOL
+
+
 def _clearance(cfg, verts):
-    return min(v[2] - terrain_height(cfg, v[0], v[1]) for v in verts)
+    return (verts[:, 2] - terrain_height(cfg, verts[:, 0], verts[:, 1])).min()
 
 
 def _initial_pose(cfg, q):
@@ -129,8 +189,7 @@ def _initial_pose(cfg, q):
 
 
 def _support_ids(cfg, verts):
-    return [i for i in range(6)
-            if verts[i, 2] - terrain_height(cfg, *verts[i, :2]) < CONTACT_TOL]
+    return np.flatnonzero(_touching(cfg, verts)).tolist()
 
 
 def _pick_edge(support, verts, heading):
@@ -225,29 +284,53 @@ def _segments(cfg: SimConfig, q):
     return segs
 
 
-def _kinematics(seg, t):
-    """(R, p, v, omega_world) of the body frame at time t."""
-    if seg[0] == "dwell":
-        _, _, _, R, p = seg
-        z = np.zeros(3)
-        return R, p, z, z
-    _, t0, t1, R0, p0, o, axis, theta_total = seg
-    tau = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)
-    s, ds = _smoothstep(tau)
-    T = t1 - t0
-    theta = theta_total * s
-    rate = theta_total * ds / T
-    E = so3_exp(theta * axis)
-    p = o + E @ (p0 - o)
-    # v = rate * cross(axis, p - o), the cross product in np.cross's order
-    a0, a1, a2 = axis.tolist()
-    r0, r1, r2 = (p - o).tolist()
-    v = rate * np.array((a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0))
-    return E @ R0, p, v, rate * axis
+def _poses(segs, t):
+    """(R, p, v, omega_world) of the body frame at each of the times t,
+    stacked (n, 3, 3), (n, 3), (n, 3), (n, 3)."""
+    n = len(t)
+    R, p = np.empty((n, 3, 3)), np.empty((n, 3))
+    v, omega = np.zeros((n, 3)), np.zeros((n, 3))
+    # a time on a segment start belongs to that segment, as in bisect_right
+    which = np.maximum(
+        np.searchsorted([s[1] for s in segs], t, side="right") - 1, 0)
+    for i, seg in enumerate(segs):
+        at = which == i
+        if not at.any():
+            continue
+        if seg[0] == "dwell":
+            R[at], p[at] = seg[3], seg[4]
+            continue
+        _, t0, t1, R0, p0, o, axis, theta_total = seg
+        T = t1 - t0
+        tau = np.clip((t[at] - t0) / T, 0.0, 1.0)
+        s, ds = _smoothstep(tau)
+        rate = theta_total * ds / T
+        E = _so3_exp_rows((theta_total * s)[:, None] * axis)
+        R[at] = E @ R0
+        pos = o + (E @ (p0 - o)[:, None])[:, :, 0]
+        p[at] = pos
+        # v = rate * cross(axis, p - o), the cross product in np.cross's order
+        a0, a1, a2 = axis.tolist()
+        r0, r1, r2 = (pos - o).T
+        v[at] = rate[:, None] * np.stack(
+            (a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0), axis=1)
+        omega[at] = rate[:, None] * axis
+    return R, p, v, omega
 
 
-def _seg_at(segs, starts, t):
-    return segs[max(0, bisect_right(starts, t) - 1)]
+def _in_body(R, x):
+    """R[k].T @ x[k] for each k."""
+    return (R.transpose(0, 2, 1) @ x[:, :, None])[:, :, 0]
+
+
+def _flags(cfg, q, R, p):
+    """Per-pose contact flags of the six endcaps, as tuples of bools.
+    A run shows only a few contact patterns, so equal tuples are one
+    object, which the many frames of a run keep alive."""
+    verts = (R @ q.T).transpose(0, 2, 1) + p[:, None, :]
+    shared = {}
+    return [shared.setdefault(f, f)
+            for f in map(tuple, _touching(cfg, verts).tolist())]
 
 
 def generate(cfg: SimConfig = None) -> SimOutput:
@@ -256,57 +339,41 @@ def generate(cfg: SimConfig = None) -> SimOutput:
         cfg = SimConfig()
     q = asymmetric_stance(ShapeSolverConfig())
     segs = _segments(cfg, q)
-    starts = [s[1] for s in segs]
     t_end = segs[-1][2]
 
-    def pose(t):
-        return _kinematics(_seg_at(segs, starts, t), t)
-
-    frames = []
     n_frames = int(round(t_end * cfg.imu_rate))
-    for k in range(n_frames + 1):
-        t = k / cfg.imu_rate
-        R, p, v, _ = pose(t)
-        verts = (R @ q.T).T + p
-        flags = tuple(
-            verts[i, 2] - terrain_height(cfg, *verts[i, :2]) < CONTACT_TOL
-            for i in range(6))
-        frames.append(GroundTruthFrame(t, R, v, p, flags))
+    k = np.arange(n_frames + 1)
+    t = k / cfg.imu_rate
+    R, p, v, _ = _poses(segs, t)
+    frames = tuple(map(GroundTruthFrame, t.tolist(), R, v, p,
+                       _flags(cfg, q, R, p)))
 
-    imu = []
+    # angular rate at the interval midpoint; specific force consistent
+    # with the velocity increment over the interval, expressed in the
+    # start-of-interval body frame (ideal integrating sensor outputs).
+    # k * dt and k / imu_rate may differ in the last bit, so the interval
+    # ends get their own poses rather than the frames'.
     dt = 1.0 / cfg.imu_rate
-    end = pose(0.0)
-    for k in range(1, n_frames + 1):
-        # angular rate at the interval midpoint; specific force consistent
-        # with the velocity increment over the interval, expressed in the
-        # start-of-interval body frame (ideal integrating sensor outputs);
-        # the last interval's end, k * dt, is this one's start (k - 1) * dt
-        Rm, _, _, omega = pose((k - 0.5) * dt)
-        R0, _, v0, _ = end
-        end = pose(k * dt)
-        v1 = end[2]
-        imu.append(ImuSample(k * dt,
-                             R0.T @ ((v1 - v0) / dt - GRAVITY),
-                             Rm.T @ omega))
+    R_end, _, v_end, _ = _poses(segs, k * dt)
+    R_mid, _, _, omega = _poses(segs, (k[1:] - 0.5) * dt)
+    accel = _in_body(R_end[:-1], (v_end[1:] - v_end[:-1]) / dt - GRAVITY)
+    gyro = _in_body(R_mid, omega)
+    # the public constructor raises the error a non-finite sample gets
+    make = ImuSample._trusted if np.isfinite(accel).all() \
+        and np.isfinite(gyro).all() else ImuSample
+    imu = tuple(map(make, (k[1:] * dt).tolist(), accel, gyro))
 
     lengths = RobotShape(0.0, q).cable_lengths()
     cables = tuple(
-        CableMeasurements.from_vector(k / cfg.cable_rate, lengths)
-        for k in range(int(round(t_end * cfg.cable_rate)) + 1))
+        CableMeasurements.from_vector(j / cfg.cable_rate, lengths)
+        for j in range(int(round(t_end * cfg.cable_rate)) + 1))
 
-    contacts = []
-    for k in range(int(round(t_end * cfg.contact_rate)) + 1):
-        t = k / cfg.contact_rate
-        R, p, _, _ = pose(t)
-        verts = (R @ q.T).T + p
-        contacts.append(ContactVector(t, tuple(
-            verts[i, 2] - terrain_height(cfg, *verts[i, :2]) < CONTACT_TOL
-            for i in range(6))))
+    tc = np.arange(int(round(t_end * cfg.contact_rate)) + 1) / cfg.contact_rate
+    Rc, pc, _, _ = _poses(segs, tc)
+    contacts = tuple(map(ContactVector, tc.tolist(), _flags(cfg, q, Rc, pc)))
 
-    pos = np.array([f.position for f in frames])
-    path_length = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
-    return SimOutput(cfg, q, tuple(frames), tuple(imu), cables,
-                     tuple(contacts), path_length)
+    path_length = float(np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)))
+    return SimOutput(cfg, q, frames, imu, cables, contacts, path_length)
 
 
 def corrupt(sim: SimOutput, noise: NoiseConfig = None, seed=0,

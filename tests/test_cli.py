@@ -337,3 +337,16 @@ def test_runtime_failure_exits_3(tmp_path):
     code = main(["simulate", "--out-dir", str(tmp_path / "x"),
                  "--config", str(path), "--log-level", "ERROR"])
     assert code == 3
+
+
+@pytest.mark.parametrize("length", ["nan", "-1", "0", "inf"])
+def test_bad_target_length_is_config_error(tmp_path, length):
+    # simulate once wrote a stationary log for these, or failed with exit 3
+    path = tmp_path / "bad.cfg"
+    write_lines(path, [f"target_length = {length}"])
+    for command in ("simulate", "pipeline"):
+        out = tmp_path / command
+        code = main([command, "--out-dir", str(out), "--config", str(path),
+                     "--log-level", "ERROR"])
+        assert code == 2
+        assert not (out / "sensors.jsonl").exists()

@@ -469,6 +469,11 @@ BAD_LOGS = [
      ":3: invalid record (timestamp must be finite)", False),
     ([HEADER, IMU.replace("0.1", "-Infinity", 1)],
      ":2: invalid record (timestamp must be finite)", False),
+    # JSON booleans, which float() takes as 0.0 and 1.0
+    ([HEADER, IMU.replace("0.1", "true", 1)],
+     ":2: invalid record (timestamp must be a number, got true)", False),
+    ([HEADER, CABLE.replace('"0-4": 1.0', '"0-4": false')],
+     ":2: invalid record (cable length must be a number, got false)", False),
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tenseg.inekf import ImuBias, NoiseConfig, initial_state, propagate
-from tenseg.liegroup import so3_exp, so3_log
+from tenseg.liegroup import SMALL_ANGLE, so3_exp, so3_log
 from tenseg.shape import (
     RobotShape,
     ShapeSolverConfig,
@@ -16,7 +16,10 @@ from tenseg.simulator import (
     CONTACT_TOL,
     SimConfig,
     SimulationError,
+    _pow,
     _segments,
+    _so3_exp_rows,
+    _smoothstep,
     corrupt,
     generate,
     terrain_height,
@@ -148,6 +151,25 @@ def test_invalid_config_rejected():
         SimConfig(terrain="stairs")
 
 
+@pytest.mark.parametrize("field,value", [
+    *(("target_length", v) for v in (np.nan, np.inf, -1.0, 0.0)),
+    *((name, v) for name in ("imu_rate", "cable_rate", "contact_rate",
+                             "pivot_duration")
+      for v in (0.0, -5.0, np.nan, np.inf)),
+    *((name, v) for name in ("dwell", "final_dwell")
+      for v in (-0.1, np.nan, np.inf)),
+])
+def test_out_of_range_config_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
+
+
+def test_zero_dwells_accepted():
+    # the jacobian_fk benchmark workload ends its run without a final dwell
+    sim = generate(SimConfig(dwell=0.0, final_dwell=0.0, target_length=0.5))
+    assert sim.path_length >= 0.5
+
+
 def test_corrupt_deterministic_per_seed():
     a = corrupt(SIM, seed=5, cable_noise=0.003, chatter=0.01)
     b = corrupt(SIM, seed=5, cable_noise=0.003, chatter=0.01)
@@ -186,6 +208,47 @@ def test_corrupt_chatter_flips_flags():
     noisy = corrupt(SIM, seed=4, chatter=0.2)
     flips = sum(c.flags != d.flags for c, d in zip(SIM.contacts, noisy.contacts))
     assert flips > 0
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against their scalar originals, bit for bit
+
+
+def _angles():
+    rng = np.random.default_rng(8)
+    axes = rng.normal(size=(400, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    theta = np.concatenate((
+        rng.uniform(0.0, 2.5, 200),                  # the simulator's range
+        [0.0, 0.0, 1e-12, 0.5 * SMALL_ANGLE, SMALL_ANGLE, 2.0 * SMALL_ANGLE],
+        np.pi - rng.uniform(0.0, 1e-6, 94),          # near pi
+        np.pi + np.array([-1e-15, 0.0, 1e-15]), np.full(97, np.pi)))
+    return theta[:, None] * axes
+
+
+def test_so3_exp_rows_equals_so3_exp_bitwise():
+    phi = _angles()
+    stacked = _so3_exp_rows(phi)
+    for row, E in zip(phi, stacked):
+        assert E.tobytes() == so3_exp(row).tobytes()
+
+
+def test_pow_equals_float64_power_bitwise():
+    x = np.random.default_rng(9).uniform(0.0, 1.0, 20000)
+    x[:4] = 0.0, 1.0, 0.5, 1e-300
+    for k in (2, 3):
+        expected = np.array([np.float64(v) ** k for v in x])
+        assert _pow(x, k).tobytes() == expected.tobytes()
+
+
+def test_smoothstep_equals_scalar_formula_bitwise():
+    tau = np.concatenate(([0.0, 1.0, 0.5],
+                          np.random.default_rng(10).uniform(0.0, 1.0, 5000)))
+    s, ds = _smoothstep(tau)
+    for t, s_k, ds_k in zip(tau, s, ds):
+        t = np.float64(t)
+        assert s_k == t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+        assert ds_k == 30.0 * t**2 * (1.0 - t)**2
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +310,24 @@ def _ref_streams(cfg):
     SimConfig(maneuver="right_turn", target_length=1.2, dwell=0.5,
               final_dwell=0.2, imu_rate=1000.0),
     SimConfig(terrain="valley", target_length=2.0, dwell=0.5, final_dwell=0.2),
-], ids=["forward", "right_turn", "valley"])
+    SimConfig(maneuver="backward", target_length=0.6, dwell=0.5,
+              final_dwell=0.2),
+    # the benchmark workloads (perfbench/workloads.py)
+    SimConfig(maneuver="right_turn", target_length=1.2, dwell=1.6,
+              final_dwell=0.2, imu_rate=1000.0),
+    SimConfig(maneuver="forward", target_length=1.0, dwell=1.2,
+              final_dwell=0.0, pivot_duration=0.75, cable_rate=20.0),
+    # every pivot starts on a sample of each grid, where tau = 0 takes
+    # so3_exp's small-angle branch
+    SimConfig(maneuver="forward", target_length=1.5, dwell=0.5,
+              pivot_duration=0.5, final_dwell=0.25),
+], ids=["forward", "right_turn", "valley", "backward", "turn_imu1k",
+        "jacobian_fk", "pivots_on_samples"])
 def test_generate_equals_reference_loop_bitwise(cfg):
     sim = generate(cfg)
     frames, imu, contacts = _ref_streams(cfg)
     assert len(sim.frames) == len(frames) and len(sim.imu) == len(imu)
+    assert len(sim.contacts) == len(contacts)
     for f, (R, v, p, fl) in zip(sim.frames, frames):
         assert f.rotation.tobytes() == R.tobytes()
         assert f.velocity.tobytes() == v.tobytes()

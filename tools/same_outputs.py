@@ -7,8 +7,8 @@ For every seed it runs, on both trees:
     made as the benchmark makes them, then `tenseg estimate` and
     `tenseg evaluate` run on them;
   * `tenseg pipeline` with the default config, with
-    `fk_covariance_mode = jacobian`, and with `maneuver = backward` and
-    `cable_noise = 0.005`.
+    `fk_covariance_mode = jacobian`, with `maneuver = backward` and
+    `cable_noise = 0.005`, and with `terrain = valley`.
 The base tree is a `git archive` of BASE (default HEAD); only its
 `src/` is used, and both trees run the working tree's workloads.  Every
 output file (sensors.jsonl, ground_truth.tum, estimate.tum,
@@ -33,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("sensors.jsonl", "ground_truth.tum", "estimate.tum",
            "estimate_info.json", "metrics.json", "errors.csv", "sim_info.json")
 PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n",
-                    "backward": "maneuver = backward\ncable_noise = 0.005\n"}
+                    "backward": "maneuver = backward\ncable_noise = 0.005\n",
+                    "valley": "terrain = valley\n"}
 
 
 def produce(tree_src, out_dir, seeds):
