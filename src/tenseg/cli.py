@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,13 +31,7 @@ from .evaluate import (
     drift_metrics,  # noqa: F401  (perfbench/trace.py patches this name)
     evaluate_run,
 )
-from .inekf import (
-    CalibrationError,
-    ContactAidedFilter,
-    FilterConfig,
-    FilterError,
-    NoiseConfig,
-)
+from .inekf import ContactAidedFilter, FilterConfig, FilterError
 from .logio import (
     ConfigError,
     LogFormatError,
@@ -54,10 +47,13 @@ from .simulator import SimConfig, SimulationError, corrupt, generate
 
 log = logging.getLogger("tenseg")
 
+# FilterConfig fields set by config keys of the same name, and their types
+_FILTER_KEYS = {"debounce_on": int, "debounce_off": int, "sigma_fk": float,
+                "fk_covariance_mode": str}
+
 _KNOWN_KEYS = {
     "maneuver", "terrain", "target_length", "cable_noise", "chatter",
-    "calibration_duration", "sigma_fk", "fk_covariance_mode",
-    "debounce_on", "debounce_off",
+    "calibration_duration", *_FILTER_KEYS,
 }
 
 
@@ -79,14 +75,9 @@ def _sim_config(cfg):
     )
 
 
-def _noise_config(cfg):
-    noise = NoiseConfig()
-    return replace(
-        noise,
-        sigma_fk=config_get(cfg, "sigma_fk", noise.sigma_fk, float),
-        fk_covariance_mode=config_get(cfg, "fk_covariance_mode",
-                                      noise.fk_covariance_mode),
-    )
+def _filter_config(cfg):
+    return FilterConfig(**{key: config_get(cfg, key, None, cast)
+                           for key, cast in _FILTER_KEYS.items() if key in cfg})
 
 
 def cmd_simulate(args, cfg):
@@ -118,10 +109,7 @@ def cmd_estimate(args, cfg):
     _, events = read_sensor_log(sensors)
     filt = ContactAidedFilter.calibrated(
         events, config_get(cfg, "calibration_duration", 2.0, float),
-        FilterConfig(
-            debounce_on=config_get(cfg, "debounce_on", 2, int),
-            debounce_off=config_get(cfg, "debounce_off", 2, int),
-            noise=_noise_config(cfg)))
+        _filter_config(cfg))
     log.info("calibrated until t = %s s; gyro bias %s",
              filt.t_start, filt.state.bias.gyro)
     ts, ps, Rs = [], [], []
@@ -209,7 +197,7 @@ def main(argv=None):
             ValueError) as err:
         log.error("%s", err)
         return 2
-    except (SimulationError, ShapeError, FilterError, CalibrationError) as err:
+    except (SimulationError, ShapeError, FilterError) as err:
         log.error("%s", err)
         return 3
     return 0

@@ -34,7 +34,7 @@ from .liegroup import (
     so3_exp,
 )
 from . import shape
-from .shape import CableMeasurements, RobotShape, h_p, h_R
+from .shape import GRAVITY, GRAVITY_MAG, CableMeasurements, RobotShape, h_p, h_R
 
 
 class FilterError(Exception):
@@ -112,28 +112,6 @@ class ContactVector:
         object.__setattr__(self, "flags", flags)
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Noise standard deviations (white noise and bias random walks)."""
-
-    sigma_gyro: float = 0.002         # [rad/s]
-    sigma_accel: float = 0.043        # [m/s^2]
-    sigma_gyro_bias: float = 0.001    # [rad/s per sqrt(s)]
-    sigma_accel_bias: float = 0.001   # [m/s^2 per sqrt(s)]
-    sigma_contact: float = 0.05       # contact slip velocity [m/s]
-    sigma_cable: float = 0.005        # cable length noise, jacobian FK mode [m]
-    sigma_fk: float = 0.01            # empirical FK position noise [m]
-    fk_covariance_mode: str = "empirical"   # "empirical" | "jacobian"
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
-
-    def __post_init__(self):
-        g = np.array(self.gravity, dtype=float)
-        g.flags.writeable = False
-        object.__setattr__(self, "gravity", g)
-        if self.fk_covariance_mode not in ("empirical", "jacobian"):
-            raise ValueError("fk_covariance_mode must be 'empirical' or 'jacobian'")
-
-
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
@@ -141,6 +119,16 @@ _EYE3.flags.writeable = False
 CHI2_GATE_3DOF = 16.26623619623813
 MAX_CONDITION = 1e12
 MAX_DT = 0.1
+
+# Noise densities shared by the simulator and the filter: white noise,
+# bias random walks and contact slip, plus the cable length noise behind
+# the jacobian FK covariance.
+SIGMA_GYRO = 0.002          # [rad/s]
+SIGMA_ACCEL = 0.043         # [m/s^2]
+SIGMA_GYRO_BIAS = 0.001     # [rad/s per sqrt(s)]
+SIGMA_ACCEL_BIAS = 0.001    # [m/s^2 per sqrt(s)]
+SIGMA_CONTACT = 0.05        # contact slip velocity [m/s]
+SIGMA_CABLE = 0.005         # cable length noise [m]
 
 # Initial covariance after stationary calibration: orientation, velocity,
 # biases uncertain; position pinned (the world frame is defined there).
@@ -232,7 +220,7 @@ def initial_state(rotation, bias: ImuBias, timestamp,
     )
 
 
-def init_bias_calibration(stationary, duration, cfg: NoiseConfig):
+def init_bias_calibration(stationary, duration):
     """Estimate gyro/accel biases and roll/pitch from a stationary stream.
 
     Yaw is unobservable and set to zero (the initial rotation maps the
@@ -251,17 +239,16 @@ def init_bias_calibration(stationary, duration, cfg: NoiseConfig):
     accel = np.array([s.accel for s in samples])
     # white-noise densities scale to sample std by 1/sqrt(dt)
     root = 1.0 / np.sqrt(max(dt, 1e-6))
-    if np.any(gyro.std(axis=0) > 5 * cfg.sigma_gyro * root + 1e-12) or \
-       np.any(accel.std(axis=0) > 5 * cfg.sigma_accel * root + 1e-12):
+    if np.any(gyro.std(axis=0) > 5 * SIGMA_GYRO * root + 1e-12) or \
+       np.any(accel.std(axis=0) > 5 * SIGMA_ACCEL * root + 1e-12):
         raise CalibrationError("motion detected during calibration window")
     bg = gyro.mean(axis=0)
     a_mean = accel.mean(axis=0)
-    g_mag = np.linalg.norm(cfg.gravity)
     n = np.linalg.norm(a_mean)
-    if n < 0.5 * g_mag:
+    if n < 0.5 * GRAVITY_MAG:
         raise CalibrationError("mean specific force inconsistent with gravity")
     R0 = rotation_to_z(a_mean / n)   # zero yaw
-    ba = a_mean - R0.T @ (-cfg.gravity)
+    ba = a_mean - R0.T @ (-GRAVITY)
     return ImuBias(accel=ba, gyro=bg), R0
 
 
@@ -300,42 +287,34 @@ def _column_cross_terms(state: EstimatorState):
 
 
 @lru_cache(maxsize=32)
-def _step_constants(n, gravity, sigmas):
-    """Read-only blocks of A and Q that no step changes, for an n-dim state
-    and the gravity vector's float64 bytes.
+def _step_constants(n):
+    """Read-only blocks of A and Q that no step changes, for an n-dim state.
 
     A gets the gravity coupling and the velocity-to-position identity;
     Q gets the bias random walks, and diag is the unwrapped white-noise
     diagonal of the group block.
     """
-    sg, sa, sc, sgb, sab = sigmas
     A = np.zeros((n, n))
-    A[3:6, 0:3] = skew(np.frombuffer(gravity))
+    A[3:6, 0:3] = skew(GRAVITY)
     A[6:9, 3:6] = _EYE3
     ng = n - 6
     diag = np.empty(ng)
-    diag[0:3] = sg**2
-    diag[3:6] = sa**2
+    diag[0:3] = SIGMA_GYRO**2
+    diag[3:6] = SIGMA_ACCEL**2
     diag[6:9] = 0.0
-    diag[9:] = sc**2
+    diag[9:] = SIGMA_CONTACT**2
     Q = np.zeros((n, n))
-    Q[range(ng, n), range(ng, n)] = [sgb**2] * 3 + [sab**2] * 3
+    Q[range(ng, n), range(ng, n)] = \
+        [SIGMA_GYRO_BIAS**2] * 3 + [SIGMA_ACCEL_BIAS**2] * 3
     for a in (A, diag, Q):
         a.flags.writeable = False
     return A, diag, Q
 
 
-def _constants(state: EstimatorState, cfg: NoiseConfig):
-    return _step_constants(
-        state.dim, cfg.gravity.tobytes(),   # bytes tell -0.0 from 0.0
-        (cfg.sigma_gyro, cfg.sigma_accel, cfg.sigma_contact,
-         cfg.sigma_gyro_bias, cfg.sigma_accel_bias))
-
-
-def _system_matrix(state: EstimatorState, cfg: NoiseConfig, W=None):
+def _system_matrix(state: EstimatorState, W=None):
     if W is None:
         W = _column_cross_terms(state)
-    A = _constants(state, cfg)[0].copy()
+    A = _step_constants(state.dim)[0].copy()
     minus_R = -state.group.rot
     k0 = A.shape[0] - 6
     A[0:3, k0:k0 + 3] = minus_R
@@ -344,8 +323,7 @@ def _system_matrix(state: EstimatorState, cfg: NoiseConfig, W=None):
     return A
 
 
-def _process_noise(state: EstimatorState, cfg: NoiseConfig, contact_frame,
-                   W=None):
+def _process_noise(state: EstimatorState, contact_frame, W=None):
     """Ad-wrapped continuous process noise covariance (per unit time).
 
     White IMU and contact-slip noises are isotropic (rotating contact
@@ -354,7 +332,7 @@ def _process_noise(state: EstimatorState, cfg: NoiseConfig, contact_frame,
     of the group block reduces to one scaled matrix product.  The bias
     block is Euclidean and stays unwrapped.
     """
-    _, diag, Q = _constants(state, cfg)
+    _, diag, Q = _step_constants(state.dim)
     if W is None:
         W = _column_cross_terms(state)
     R = state.group.rot
@@ -368,7 +346,7 @@ def _process_noise(state: EstimatorState, cfg: NoiseConfig, contact_frame,
     return Q
 
 
-def propagate(state: EstimatorState, imu: ImuSample, dt, cfg: NoiseConfig,
+def propagate(state: EstimatorState, imu: ImuSample, dt,
               contact_frame=None) -> EstimatorState:
     """Strapdown mean propagation plus discretized Riccati covariance update.
 
@@ -380,7 +358,7 @@ def propagate(state: EstimatorState, imu: ImuSample, dt, cfg: NoiseConfig,
     omega = imu.gyro - state.bias.gyro
     acc = imu.accel - state.bias.accel
     R = state.group.rot
-    a_w = R @ acc + cfg.gravity
+    a_w = R @ acc + GRAVITY
     # v + a_w dt and p + v dt + 0.5 a_w dt^2, one axis at a time in scalars
     cols = state.group.cols.copy()
     cols[:, :2] = [(v + a * dt, p + v * dt + 0.5 * a * dt**2)
@@ -388,30 +366,20 @@ def propagate(state: EstimatorState, imu: ImuSample, dt, cfg: NoiseConfig,
     group = GroupElement._successor(R @ so3_exp(omega * dt), cols)
 
     W = _column_cross_terms(state)
-    A = _system_matrix(state, cfg, W)
+    A = _system_matrix(state, W)
     n = state.dim
     Phi = A * dt
     Phi += (0.5 * dt * dt) * (A @ A)
     Phi.ravel()[:: n + 1] += 1.0
-    M = state.P + _process_noise(state, cfg, contact_frame, W) * dt
+    M = state.P + _process_noise(state, contact_frame, W) * dt
     P = Phi @ M @ Phi.T
     return state._successor(group, P, timestamp=state.timestamp + dt)
 
 
-def fk_covariance_body(cfg: NoiseConfig, jacobian=None):
-    """Body-frame covariance of the forward-kinematic contact position.
-
-    Uses the cable-length Jacobian when provided and enabled, otherwise
-    the empirical isotropic fallback.
-    """
-    if cfg.fk_covariance_mode == "jacobian" and jacobian is not None:
-        return jacobian @ (cfg.sigma_cable**2 * np.eye(9)) @ jacobian.T
-    return cfg.sigma_fk**2 * _EYE3
-
-
 def augment_contact(state: EstimatorState, endcap, shape: RobotShape,
-                    cfg: NoiseConfig, fk_jacobian=None) -> EstimatorState:
-    """Append the world-frame contact position of the endcap to the state."""
+                    cov_fk) -> EstimatorState:
+    """Append the world-frame contact position of the endcap to the state;
+    cov_fk is the body-frame covariance of its forward-kinematic position."""
     if endcap in state.active_contacts:
         raise FilterError(f"endcap {endcap} already active")
     R = state.rotation
@@ -426,9 +394,8 @@ def augment_contact(state: EstimatorState, endcap, shape: RobotShape,
     F[:k, :k] = np.eye(k)
     F[k:k + 3, 6:9] = np.eye(3)              # new contact error copies xi_p
     F[k + 3:, k:] = np.eye(6)
-    cov_fk = R @ fk_covariance_body(cfg, fk_jacobian) @ R.T
     P = F @ state.P @ F.T
-    P[k:k + 3, k:k + 3] += cov_fk
+    P[k:k + 3, k:k + 3] += R @ cov_fk @ R.T
     return EstimatorState(
         group=group,
         active_contacts=state.active_contacts + (int(endcap),),
@@ -461,9 +428,9 @@ class CorrectionInfo:
     mahalanobis: float
 
 
-def correct_contact(state: EstimatorState, endcap, shape: RobotShape,
-                    cfg: NoiseConfig, fk_jacobian=None):
-    """Right-invariant forward-kinematics correction for one contact.
+def correct_contact(state: EstimatorState, endcap, shape: RobotShape, cov_fk):
+    """Right-invariant forward-kinematics correction for one contact, whose
+    forward-kinematic position has the body-frame covariance cov_fk.
 
     Returns (state, CorrectionInfo); the state is unchanged when the
     innovation covariance is ill-conditioned or the innovation fails
@@ -480,7 +447,7 @@ def correct_contact(state: EstimatorState, endcap, shape: RobotShape,
     P = state.P
     n = P.shape[0]
     H = _contact_jacobian(n, 9 + 3 * i)
-    N = R @ fk_covariance_body(cfg, fk_jacobian) @ R.T
+    N = R @ cov_fk @ R.T
     S = H @ P @ H.T + N
     # np.linalg.cond(S) is s_max / s_min of this SVD, and infinite for 0 / 0
     s_max, _, s_min = np.linalg.svd(S, compute_uv=False).tolist()
@@ -514,11 +481,17 @@ def right_invariant_error(est: EstimatorState, truth_rot, truth_vel, truth_pos):
 class FilterConfig:
     debounce_on: int = 2     # consecutive in-contact samples before augmenting
     debounce_off: int = 2    # consecutive off-contact samples before dropping
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    sigma_fk: float = 0.01   # empirical FK position noise [m]
+    fk_covariance_mode: str = "empirical"   # "empirical" | "jacobian"
 
     def __post_init__(self):
         if self.debounce_on < 1 or self.debounce_off < 1:
             raise ValueError("debounce counts must be >= 1")
+        if self.fk_covariance_mode not in ("empirical", "jacobian"):
+            raise ValueError("fk_covariance_mode must be 'empirical' or 'jacobian'")
+        if not 0.0 < self.sigma_fk < math.inf:
+            raise ValueError("sigma_fk must be positive and finite, "
+                             f"got {self.sigma_fk!r}")
 
 
 # Shape solves and FK Jacobians use the default solver settings.
@@ -545,7 +518,7 @@ class ContactAidedFilter:
         self._shape_fresh = False
         self._on = [0] * 6
         self._off = [0] * 6
-        self._jacobians = None    # J_p of all six endcaps for self.shape, on first use
+        self._fk_covs = None      # FK covariance of all six endcaps for self.shape
         self.corrections = []     # CorrectionInfo log (most recent step)
         self.solver_failures = 0
 
@@ -558,7 +531,7 @@ class ContactAidedFilter:
         if not imu:
             raise ValueError("no IMU samples to calibrate on")
         window = [s for s in imu if s.timestamp <= imu[0].timestamp + duration]
-        bias, R0 = init_bias_calibration(window, duration, config.noise)
+        bias, R0 = init_bias_calibration(window, duration)
         return cls(initial_state(R0, bias, window[-1].timestamp), config)
 
     def run(self, events):
@@ -580,27 +553,33 @@ class ContactAidedFilter:
             elif isinstance(e, ContactVector):
                 self.process_contacts(e)
 
-    def _fk_jacobian(self, endcap):
-        """FK Jacobian of one endcap; one J_p sweep serves all six per shape."""
-        cfg = self.config.noise
-        if cfg.fk_covariance_mode != "jacobian" or self.shape is None:
-            return None
-        if self._jacobians is None:
-            meas = CableMeasurements.from_vector(
-                self.shape.timestamp, self.shape.cable_lengths())
-            try:
-                self._jacobians = shape.J_p(meas, range(6), SHAPE_SOLVER,
-                                            prior=self.shape)
-            except shape.JacobianUnavailable:
-                self._jacobians = (None,) * 6
-        return self._jacobians[endcap]
+    def _fk_covariance(self, endcap):
+        """Body-frame covariance of the endcap's forward-kinematic position.
+
+        Built for all six endcaps on first use per shape: sigma_fk^2 I,
+        or in jacobian mode J Sigma J^T from one J_p sweep over the cable
+        noise Sigma, with sigma_fk^2 I when that sweep fails.
+        """
+        if self._fk_covs is None:
+            cfg = self.config
+            covs = (cfg.sigma_fk**2 * _EYE3,) * 6
+            if cfg.fk_covariance_mode == "jacobian":
+                meas = CableMeasurements.from_vector(
+                    self.shape.timestamp, self.shape.cable_lengths())
+                try:
+                    J = shape.J_p(meas, range(6), SHAPE_SOLVER, prior=self.shape)
+                    covs = [j @ (SIGMA_CABLE**2 * np.eye(9)) @ j.T for j in J]
+                except shape.JacobianUnavailable:
+                    pass
+            self._fk_covs = covs
+        return self._fk_covs[endcap]
 
     def process_cables(self, meas):
         """Solve the shape for one cable frame; stale shape kept on failure."""
         try:
             self.shape = shape.reconstruct_shape(meas, self.shape, SHAPE_SOLVER)
             self._shape_fresh = True
-            self._jacobians = None
+            self._fk_covs = None
         except shape.MeasurementRejected:
             self.solver_failures += 1
             self._shape_fresh = False
@@ -620,8 +599,8 @@ class ContactAidedFilter:
                         and endcap not in self.state.active_contacts
                         and self.shape is not None):
                     self.state = augment_contact(
-                        self.state, endcap, self.shape, self.config.noise,
-                        fk_jacobian=self._fk_jacobian(endcap))
+                        self.state, endcap, self.shape,
+                        self._fk_covariance(endcap))
             else:
                 self._off[endcap] += 1
                 self._on[endcap] = 0
@@ -637,13 +616,11 @@ class ContactAidedFilter:
             R_c, ok = h_R(self.shape, imu.accel)
             if ok:
                 frame = R_c
-        self.state = propagate(self.state, imu, dt, self.config.noise,
-                               contact_frame=frame)
+        self.state = propagate(self.state, imu, dt, contact_frame=frame)
         self.corrections = []
         if self._shape_fresh:
             for endcap in self.state.active_contacts:
                 self.state, info = correct_contact(
-                    self.state, endcap, self.shape, self.config.noise,
-                    fk_jacobian=self._fk_jacobian(endcap))
+                    self.state, endcap, self.shape, self._fk_covariance(endcap))
                 self.corrections.append(info)
             self._shape_fresh = False

@@ -57,8 +57,9 @@ def _number(v, name):
 
 
 def _finite3(v, name):
-    """A fresh float array of a JSON list of three finite numbers."""
-    if len(v) != 3 or not all(map(math.isfinite, v)):
+    """A fresh float array of a JSON list of three finite numbers; JSON
+    booleans, which math.isfinite would take as 0 and 1, are refused."""
+    if len(v) != 3 or bool in map(type, v) or not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be a finite 3-vector")
     return np.array(v, dtype=float)
 
@@ -101,8 +102,8 @@ def read_sensor_log(path):
     Events are ImuSample / CableMeasurements / ContactVector instances
     in file order.  Timestamps must be finite, timestamps and cable
     lengths numbers (or numeric strings) rather than JSON booleans, IMU
-    fields three finite numbers each and contact flags a list of six
-    JSON booleans.
+    fields three finite numbers each (no JSON booleans either) and
+    contact flags a list of six JSON booleans.
     Malformed lines and backwards timestamps raise LogFormatError with
     the offending line number.
     """
@@ -306,17 +307,11 @@ def read_config(path):
 
 
 def config_get(cfg, key, default, cast=str):
-    """Typed lookup with default; bool accepts true/false/1/0."""
+    """Typed lookup with default."""
     if key not in cfg:
         return default
     raw = cfg[key]
     try:
-        if cast is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return cast(raw)
     except (ValueError, TypeError):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}")

@@ -38,7 +38,10 @@ _PAIR_J = np.array([p[1] for p in CABLE_PAIRS])
 # Triangles among the side cables; used for the measurement sanity check.
 _TRIANGLES = (((0, 2), (2, 4), (0, 4)), ((1, 3), (3, 5), (1, 5)))
 
+# Gravity in the world frame (z up), shared by the simulator and the filter.
 GRAVITY_MAG = 9.81
+GRAVITY = np.array([0.0, 0.0, -GRAVITY_MAG])
+GRAVITY.flags.writeable = False
 
 
 class ShapeError(Exception):

@@ -39,9 +39,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .inekf import ContactVector, ImuSample, NoiseConfig
+from .inekf import (
+    SIGMA_ACCEL,
+    SIGMA_ACCEL_BIAS,
+    SIGMA_GYRO,
+    SIGMA_GYRO_BIAS,
+    ContactVector,
+    ImuSample,
+)
 from .liegroup import SMALL_ANGLE, rotation_to_z, so3_exp
 from .shape import (
+    GRAVITY,
     CableMeasurements,
     RobotShape,
     ShapeSolverConfig,
@@ -54,7 +62,11 @@ class SimulationError(Exception):
 
 
 CONTACT_TOL = 1e-3      # vertex counts as touching below this clearance [m]
-GRAVITY = np.array([0.0, 0.0, -9.81])
+CONTACT_RATE = 100.0    # contact flag rate [Hz]
+TURN_PER_ROLL = -np.deg2rad(9.0)   # heading change per roll, right_turn only
+VALLEY_HALF_WIDTH = 1.0  # flat floor half-width of the valley terrain [m]
+VALLEY_SLOPE_DEG = 15.0
+DURATION_LIMIT = 120.0  # a maneuver still short of its length by then fails [s]
 
 _DEFAULT_LENGTH = {"forward": 7.5, "backward": 6.7, "right_turn": 15.7}
 
@@ -66,14 +78,9 @@ class SimConfig:
     target_length: float = None        # path length [m]; maneuver default
     imu_rate: float = 200.0
     cable_rate: float = 100.0
-    contact_rate: float = 100.0
     dwell: float = 3.0                 # stationary time before first roll
     final_dwell: float = 1.0
     pivot_duration: float = 1.5
-    turn_per_roll: float = -np.deg2rad(9.0)   # heading change, right_turn only
-    valley_half_width: float = 1.0
-    valley_slope_deg: float = 15.0
-    duration_limit: float = 120.0
 
     def __post_init__(self):
         if self.maneuver not in _DEFAULT_LENGTH:
@@ -84,8 +91,7 @@ class SimConfig:
                 and not 0.0 < self.target_length < math.inf:
             raise ValueError("target_length must be positive and finite, "
                              f"got {self.target_length!r}")
-        for name in ("imu_rate", "cable_rate", "contact_rate",
-                     "pivot_duration"):
+        for name in ("imu_rate", "cable_rate", "pivot_duration"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)!r}")
@@ -127,8 +133,8 @@ def terrain_height(cfg: SimConfig, x, y):
     """Terrain height at (x, y); arrays of points give an array."""
     if cfg.terrain == "flat":
         return 0.0
-    slope = np.tan(np.deg2rad(cfg.valley_slope_deg))
-    return slope * np.maximum(np.abs(y) - cfg.valley_half_width, 0.0)
+    slope = np.tan(np.deg2rad(VALLEY_SLOPE_DEG))
+    return slope * np.maximum(np.abs(y) - VALLEY_HALF_WIDTH, 0.0)
 
 
 def _pow(x, k):
@@ -259,7 +265,7 @@ def _segments(cfg: SimConfig, q):
     t = cfg.dwell
     travelled = 0.0
     while travelled < cfg.length:
-        if t > cfg.duration_limit:
+        if t > DURATION_LIMIT:
             raise SimulationError("duration limit hit before target length")
         verts = (R @ q.T).T + p
         support = _support_ids(cfg, verts)
@@ -279,7 +285,7 @@ def _segments(cfg: SimConfig, q):
         R, p = E @ R, p_new
         t += cfg.pivot_duration
         if cfg.maneuver == "right_turn":
-            heading = so3_exp([0.0, 0.0, cfg.turn_per_roll]) @ heading
+            heading = so3_exp([0.0, 0.0, TURN_PER_ROLL]) @ heading
     segs.append(("dwell", t, t + cfg.final_dwell, R.copy(), p.copy()))
     return segs
 
@@ -368,7 +374,7 @@ def generate(cfg: SimConfig = None) -> SimOutput:
         CableMeasurements.from_vector(j / cfg.cable_rate, lengths)
         for j in range(int(round(t_end * cfg.cable_rate)) + 1))
 
-    tc = np.arange(int(round(t_end * cfg.contact_rate)) + 1) / cfg.contact_rate
+    tc = np.arange(int(round(t_end * CONTACT_RATE)) + 1) / CONTACT_RATE
     Rc, pc, _, _ = _poses(segs, tc)
     contacts = tuple(map(ContactVector, tc.tolist(), _flags(cfg, q, Rc, pc)))
 
@@ -376,17 +382,15 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     return SimOutput(cfg, q, frames, imu, cables, contacts, path_length)
 
 
-def corrupt(sim: SimOutput, noise: NoiseConfig = None, seed=0,
-            cable_noise=0.0, chatter=0.0) -> SimOutput:
+def corrupt(sim: SimOutput, seed=0, cable_noise=0.0, chatter=0.0) -> SimOutput:
     """Overlay sensor noise on exact streams.
 
     IMU white noise is scaled by 1/sqrt(dt) so its discrete sample
-    variance matches the continuous densities the filter assumes; biases
-    follow random walks starting at zero.  Cable noise and contact
-    chatter (per-flag flip probability) are off by default.
+    variance matches the continuous densities the filter assumes (the
+    SIGMA_* constants of tenseg.inekf); biases follow random walks
+    starting at zero.  Cable noise and contact chatter (per-flag flip
+    probability) are off by default.
     """
-    if noise is None:
-        noise = NoiseConfig()
     rng = np.random.default_rng(seed)
     n = len(sim.imu)
     dt = 1.0 / sim.config.imu_rate
@@ -396,14 +400,14 @@ def corrupt(sim: SimOutput, noise: NoiseConfig = None, seed=0,
     z = rng.normal(size=(n, 4, 3))
     # random walks from zero; the leading zero row keeps 0.0 + step exact
     walks = np.zeros((n + 1, 2, 3))
-    walks[1:, 0] = noise.sigma_gyro_bias * np.sqrt(dt) * z[:, 0]
-    walks[1:, 1] = noise.sigma_accel_bias * np.sqrt(dt) * z[:, 1]
+    walks[1:, 0] = SIGMA_GYRO_BIAS * np.sqrt(dt) * z[:, 0]
+    walks[1:, 1] = SIGMA_ACCEL_BIAS * np.sqrt(dt) * z[:, 1]
     np.cumsum(walks, axis=0, out=walks)
     bg, ba = walks[1:, 0], walks[1:, 1]
     accel = np.array([s.accel for s in sim.imu]).reshape(n, 3) + ba \
-        + noise.sigma_accel * root * z[:, 2]
+        + SIGMA_ACCEL * root * z[:, 2]
     gyro = np.array([s.gyro for s in sim.imu]).reshape(n, 3) + bg \
-        + noise.sigma_gyro * root * z[:, 3]
+        + SIGMA_GYRO * root * z[:, 3]
     # the public constructor raises the error a non-finite sample gets
     make = ImuSample._trusted if np.isfinite(accel).all() \
         and np.isfinite(gyro).all() else ImuSample

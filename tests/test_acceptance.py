@@ -14,7 +14,7 @@ import pytest
 import test_inekf as inekf_suite
 from tenseg.cli import main as cli_main
 from tenseg.evaluate import drift_percent
-from tenseg.inekf import ImuSample, NoiseConfig, correct_contact, propagate
+from tenseg.inekf import ImuSample, correct_contact, propagate
 from tenseg.liegroup import GroupElement, compose, embedding, inverse, sek3_exp, sek3_log, so3_exp
 from tenseg.shape import (
     CableMeasurements,
@@ -95,7 +95,6 @@ def test_criterion_2_drift(capsys, tmp_path, maneuver):
 
 
 def test_criterion_3_runtimes(capsys):
-    cfg = NoiseConfig()
     shape = RobotShape(0.0, asymmetric_stance(ShapeSolverConfig()))
     st, _ = inekf_suite.state_with_contact(3)
     imu = ImuSample(0.0, np.array([0.0, 0.0, 9.81]), np.zeros(3))
@@ -103,11 +102,11 @@ def test_criterion_3_runtimes(capsys):
     t0 = time.perf_counter()
     s = st
     for _ in range(n):
-        s = propagate(s, imu, 0.005, cfg)
+        s = propagate(s, imu, 0.005)
     t_prop = (time.perf_counter() - t0) / n
     t0 = time.perf_counter()
     for _ in range(n):
-        correct_contact(st, 3, shape, cfg)
+        correct_contact(st, 3, shape, inekf_suite.COV_FK)
     t_corr = (time.perf_counter() - t0) / n
     ok = t_prop < 100e-6 and t_corr < 200e-6
     emit(capsys, ok,
@@ -183,11 +182,10 @@ def test_criterion_4d_chirality(capsys):
 
 def test_criterion_4e_zero_innovation(capsys):
     st, shape = inekf_suite.state_with_contact(3)
-    cfg = NoiseConfig()
     ok = True
     for _ in range(5):
         tr = np.trace(st.P)
-        st2, info = correct_contact(st, 3, shape, cfg)
+        st2, info = correct_contact(st, 3, shape, inekf_suite.COV_FK)
         ok &= bool(np.allclose(info.innovation, 0.0, atol=1e-12))
         ok &= bool(np.allclose(st2.position, st.position, atol=1e-12))
         ok &= bool(np.allclose(st2.rotation, st.rotation, atol=1e-12))

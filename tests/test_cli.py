@@ -240,7 +240,7 @@ def test_config_rejects_duplicates_and_garbage(tmp_path):
 
 def test_config_get_bad_cast():
     with pytest.raises(ConfigError):
-        config_get({"x": "maybe"}, "x", False, bool)
+        config_get({"x": "maybe"}, "x", 0, int)
 
 
 # ---------------------------------------------------------------------------

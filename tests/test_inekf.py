@@ -5,6 +5,12 @@ from dataclasses import replace
 import tenseg.shape
 from tenseg.inekf import (
     CHI2_GATE_3DOF,
+    SIGMA_ACCEL,
+    SIGMA_ACCEL_BIAS,
+    SIGMA_CABLE,
+    SIGMA_CONTACT,
+    SIGMA_GYRO,
+    SIGMA_GYRO_BIAS,
     CalibrationError,
     ContactAidedFilter,
     ContactVector,
@@ -13,10 +19,8 @@ from tenseg.inekf import (
     FilterError,
     ImuBias,
     ImuSample,
-    NoiseConfig,
     augment_contact,
     correct_contact,
-    fk_covariance_body,
     init_bias_calibration,
     initial_state,
     marginalize_contact,
@@ -34,15 +38,17 @@ from tenseg.liegroup import (
 )
 from tenseg.logio import read_sensor_log, write_sensor_log
 from tenseg.shape import (
+    GRAVITY,
     CableMeasurements,
+    JacobianUnavailable,
     RobotShape,
     ShapeSolverConfig,
     asymmetric_stance,
 )
 
-CFG = NoiseConfig()
+SIGMA_FK = FilterConfig().sigma_fk
+COV_FK = SIGMA_FK**2 * np.eye(3)    # the default, empirical FK covariance
 SOLVER = ShapeSolverConfig()
-GRAVITY = np.array([0.0, 0.0, -9.81])
 DT = 0.005
 
 Q_STANCE = asymmetric_stance(SOLVER)
@@ -69,7 +75,7 @@ def state_with_contact(endcap=3, shape_q=None):
     """Estimator at the origin, level, with one self-consistent contact."""
     q = Q_STANCE if shape_q is None else shape_q
     st = initial_state(np.eye(3), ImuBias(), 0.0)
-    return augment_contact(st, endcap, RobotShape(0.0, q), CFG), RobotShape(0.0, q)
+    return augment_contact(st, endcap, RobotShape(0.0, q), COV_FK), RobotShape(0.0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +83,7 @@ def state_with_contact(endcap=3, shape_q=None):
 
 
 def test_calibration_level_zero_noise():
-    bias, R0 = init_bias_calibration(static_samples(400), 2.0, CFG)
+    bias, R0 = init_bias_calibration(static_samples(400), 2.0)
     np.testing.assert_allclose(R0, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(bias.gyro, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(bias.accel, np.zeros(3), atol=1e-12)
@@ -86,7 +92,7 @@ def test_calibration_level_zero_noise():
 def test_calibration_recovers_pitch():
     R0_true = so3_exp([0.0, np.deg2rad(15.0), 0.0])
     accel = R0_true.T @ (-GRAVITY)
-    bias, R0 = init_bias_calibration(static_samples(400, accel=accel), 2.0, CFG)
+    bias, R0 = init_bias_calibration(static_samples(400, accel=accel), 2.0)
     np.testing.assert_allclose(R0, R0_true, atol=1e-9)
     np.testing.assert_allclose(bias.accel, np.zeros(3), atol=1e-9)
 
@@ -97,8 +103,8 @@ def test_calibration_recovers_biases_under_noise():
     ba_z = 0.01  # only the along-gravity accel bias component is observable
     samples = static_samples(
         800, accel=(0.0, 0.0, 9.81 + ba_z), gyro=bg,
-        rng=rng, sa=CFG.sigma_accel, sg=CFG.sigma_gyro)
-    bias, R0 = init_bias_calibration(samples, 4.0, CFG)
+        rng=rng, sa=SIGMA_ACCEL, sg=SIGMA_GYRO)
+    bias, R0 = init_bias_calibration(samples, 4.0)
     np.testing.assert_allclose(bias.gyro, bg, atol=5e-4)
     assert abs(bias.accel @ R0.T @ [0, 0, 1] - ba_z) < 0.01
 
@@ -107,12 +113,12 @@ def test_calibration_rejects_motion():
     samples = [imu_at(k * DT, gyro=(0.8 * np.sin(k * 0.1), 0.0, 0.0))
                for k in range(400)]
     with pytest.raises(CalibrationError):
-        init_bias_calibration(samples, 2.0, CFG)
+        init_bias_calibration(samples, 2.0)
 
 
 def test_calibration_rejects_short_window():
     with pytest.raises(CalibrationError):
-        init_bias_calibration(static_samples(100), 0.5, CFG)
+        init_bias_calibration(static_samples(100), 0.5)
 
 
 def test_calibration_accepts_one_second_window():
@@ -123,10 +129,10 @@ def test_calibration_accepts_one_second_window():
     for stamp in (lambda k: k / 200.0, lambda k: k * 0.005):
         samples = [imu_at(stamp(k)) for k in range(1, 401)]
         for duration in (1.0, 1.0000001):
-            bias, R0 = init_bias_calibration(samples, duration, CFG)
+            bias, R0 = init_bias_calibration(samples, duration)
             np.testing.assert_allclose(R0, np.eye(3), atol=1e-12)
     with pytest.raises(CalibrationError):
-        init_bias_calibration(samples[:199], 1.0, CFG)
+        init_bias_calibration(samples[:199], 1.0)
 
 
 def test_chi2_gate_is_the_999_quantile():
@@ -141,7 +147,7 @@ def test_chi2_gate_is_the_999_quantile():
 def test_propagate_stationary_equilibrium():
     st = initial_state(np.eye(3), ImuBias(), 0.0)
     for k in range(200):
-        st = propagate(st, imu_at((k + 1) * DT), DT, CFG)
+        st = propagate(st, imu_at((k + 1) * DT), DT)
     np.testing.assert_allclose(st.velocity, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(st.position, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(st.rotation, np.eye(3), atol=1e-12)
@@ -150,7 +156,7 @@ def test_propagate_stationary_equilibrium():
 def test_propagate_constant_yaw_rate():
     st = initial_state(np.eye(3), ImuBias(), 0.0)
     for k in range(200):
-        st = propagate(st, imu_at((k + 1) * DT, gyro=(0.0, 0.0, 1.0)), DT, CFG)
+        st = propagate(st, imu_at((k + 1) * DT, gyro=(0.0, 0.0, 1.0)), DT)
     np.testing.assert_allclose(st.rotation, so3_exp([0.0, 0.0, 1.0]), atol=1e-9)
     np.testing.assert_allclose(st.position, np.zeros(3), atol=1e-9)
 
@@ -159,7 +165,7 @@ def test_propagate_free_fall():
     st = initial_state(np.eye(3), ImuBias(), 0.0)
     n = 100
     for k in range(n):
-        st = propagate(st, imu_at((k + 1) * DT, accel=(0, 0, 0)), DT, CFG)
+        st = propagate(st, imu_at((k + 1) * DT, accel=(0, 0, 0)), DT)
     t = n * DT
     np.testing.assert_allclose(st.velocity, GRAVITY * t, atol=1e-12)
     np.testing.assert_allclose(st.position, 0.5 * GRAVITY * t**2, atol=1e-12)
@@ -168,23 +174,23 @@ def test_propagate_free_fall():
 def test_propagate_applies_bias_correction():
     bg = np.array([0.0, 0.0, 0.3])
     st = initial_state(np.eye(3), ImuBias(gyro=bg), 0.0)
-    st = propagate(st, imu_at(DT, gyro=bg), DT, CFG)
+    st = propagate(st, imu_at(DT, gyro=bg), DT)
     np.testing.assert_allclose(st.rotation, np.eye(3), atol=1e-12)
 
 
 def test_propagate_rejects_bad_dt():
     st = initial_state(np.eye(3), ImuBias(), 0.0)
     with pytest.raises(FilterError):
-        propagate(st, imu_at(0.2), 0.2, CFG)
+        propagate(st, imu_at(0.2), 0.2)
     with pytest.raises(FilterError):
-        propagate(st, imu_at(0.0), 0.0, CFG)
+        propagate(st, imu_at(0.0), 0.0)
 
 
 def test_propagate_covariance_grows_and_stays_psd():
     st = initial_state(np.eye(3), ImuBias(), 0.0)
     tr0 = np.trace(st.P)
     for k in range(100):
-        st = propagate(st, imu_at((k + 1) * DT), DT, CFG)
+        st = propagate(st, imu_at((k + 1) * DT), DT)
     assert np.trace(st.P) > tr0
     np.testing.assert_allclose(st.P, st.P.T, atol=1e-15)
     assert np.linalg.eigvalsh(st.P).min() >= -1e-12
@@ -198,7 +204,7 @@ def test_augment_places_contact_by_forward_kinematics():
     st = initial_state(so3_exp([0.1, -0.2, 0.3]), ImuBias(), 0.0,
                        position=(1.0, 2.0, 0.5))
     shape = RobotShape(0.0, Q_STANCE)
-    st2 = augment_contact(st, 4, shape, CFG)
+    st2 = augment_contact(st, 4, shape, COV_FK)
     expected = st.position + st.rotation @ Q_STANCE[4]
     np.testing.assert_allclose(st2.contact_position(4), expected, atol=1e-12)
     assert st2.active_contacts == (4,)
@@ -207,10 +213,10 @@ def test_augment_places_contact_by_forward_kinematics():
 
 def test_augment_covariance_structure():
     st = initial_state(np.eye(3), ImuBias(), 0.0)
-    st2 = augment_contact(st, 3, RobotShape(0.0, Q_STANCE), CFG)
+    st2 = augment_contact(st, 3, RobotShape(0.0, Q_STANCE), COV_FK)
     # new block = position block plus rotated forward-kinematics covariance
     np.testing.assert_allclose(
-        st2.P[9:12, 9:12], st.P[6:9, 6:9] + CFG.sigma_fk**2 * np.eye(3),
+        st2.P[9:12, 9:12], st.P[6:9, 6:9] + COV_FK,
         atol=1e-15)
     np.testing.assert_allclose(st2.P[9:12, 0:9], st.P[6:9, 0:9], atol=1e-15)
 
@@ -218,7 +224,7 @@ def test_augment_covariance_structure():
 def test_augment_marginalize_round_trip():
     st = initial_state(so3_exp([0.05, 0.1, -0.2]), ImuBias(), 0.0)
     st2 = marginalize_contact(
-        augment_contact(st, 2, RobotShape(0.0, Q_STANCE), CFG), 2)
+        augment_contact(st, 2, RobotShape(0.0, Q_STANCE), COV_FK), 2)
     np.testing.assert_array_equal(st2.group.rot, st.group.rot)
     np.testing.assert_array_equal(st2.group.cols, st.group.cols)
     np.testing.assert_allclose(st2.P, st.P, atol=1e-15)
@@ -228,7 +234,7 @@ def test_augment_marginalize_round_trip():
 def test_augment_duplicate_and_marginalize_missing_raise():
     st, shape = state_with_contact(3)
     with pytest.raises(FilterError):
-        augment_contact(st, 3, shape, CFG)
+        augment_contact(st, 3, shape, COV_FK)
     with pytest.raises(FilterError):
         marginalize_contact(st, 5)
 
@@ -241,7 +247,7 @@ def test_zero_innovation_fixed_point():
     st, shape = state_with_contact(3)
     for _ in range(3):
         tr = np.trace(st.P)
-        st2, info = correct_contact(st, 3, shape, CFG)
+        st2, info = correct_contact(st, 3, shape, COV_FK)
         assert info.applied
         np.testing.assert_allclose(info.innovation, np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(st2.rotation, st.rotation, atol=1e-12)
@@ -255,9 +261,9 @@ def test_correction_shrinks_innovation():
     cols = st.group.cols.copy()
     cols[:, 2] += [0.02, -0.008, 0.012]
     st = replace(st, group=GroupElement(st.group.rot, cols))
-    st2, info = correct_contact(st, 3, shape, CFG)
+    st2, info = correct_contact(st, 3, shape, COV_FK)
     assert info.applied
-    _, info2 = correct_contact(st2, 3, shape, CFG)
+    _, info2 = correct_contact(st2, 3, shape, COV_FK)
     assert np.linalg.norm(info2.innovation) < 0.6 * np.linalg.norm(info.innovation)
 
 
@@ -266,7 +272,7 @@ def test_outlier_gate_rejects_large_innovation():
     cols = st.group.cols.copy()
     cols[:, 2] += [10.0, 0.0, 0.0]
     bad = replace(st, group=GroupElement(st.group.rot, cols))
-    st2, info = correct_contact(bad, 3, shape, CFG)
+    st2, info = correct_contact(bad, 3, shape, COV_FK)
     assert not info.applied
     assert info.reason == "outlier"
     np.testing.assert_array_equal(st2.group.cols, bad.group.cols)
@@ -275,8 +281,7 @@ def test_outlier_gate_rejects_large_innovation():
 def test_ill_conditioned_innovation_skipped():
     st, shape = state_with_contact(3)
     st = replace(st, P=np.zeros((st.dim, st.dim)))
-    cfg = replace(CFG, fk_covariance_mode="jacobian")
-    st2, info = correct_contact(st, 3, shape, cfg, fk_jacobian=np.zeros((3, 9)))
+    st2, info = correct_contact(st, 3, shape, np.zeros((3, 3)))
     assert not info.applied
     assert info.reason == "ill_conditioned"
 
@@ -288,10 +293,10 @@ def test_joseph_update_keeps_psd():
         cols = st.group.cols.copy()
         cols[:, 2] += rng.normal(scale=0.01, size=3)
         st = replace(st, group=GroupElement(st.group.rot, cols))
-        st, info = correct_contact(st, 3, shape, CFG)
+        st, info = correct_contact(st, 3, shape, COV_FK)
         np.testing.assert_allclose(st.P, st.P.T, atol=1e-14)
         assert np.linalg.eigvalsh(st.P).min() >= -1e-12
-        st = propagate(st, imu_at(st.timestamp + DT), DT, CFG)
+        st = propagate(st, imu_at(st.timestamp + DT), DT)
 
 
 def test_static_corrections_pull_velocity_error_down():
@@ -301,8 +306,8 @@ def test_static_corrections_pull_velocity_error_down():
     st = replace(st, group=GroupElement(st.group.rot, cols))
     v0 = np.linalg.norm(st.velocity)
     for k in range(400):
-        st = propagate(st, imu_at((k + 1) * DT), DT, CFG)
-        st, _ = correct_contact(st, 3, shape, CFG)
+        st = propagate(st, imu_at((k + 1) * DT), DT)
+        st, _ = correct_contact(st, 3, shape, COV_FK)
     err = right_invariant_error(st, np.eye(3), np.zeros(3), np.zeros(3))
     assert np.linalg.norm(err[3:6]) < 0.1 * v0
 
@@ -333,11 +338,11 @@ def test_error_propagation_linearization_order():
         est = replace(truth, group=est_group,
                       bias=ImuBias(accel=b_true.accel + s * db_dir[3:],
                                    gyro=b_true.gyro + s * db_dir[:3]))
-        A = _system_matrix(est, CFG)
+        A = _system_matrix(est)
         Phi = np.eye(18) + A * dt + 0.5 * (A @ A) * dt**2
         e0 = np.concatenate([s * xi_dir, s * db_dir])
-        truth1 = propagate(truth, imu, dt, CFG)
-        est1 = propagate(est, imu, dt, CFG)
+        truth1 = propagate(truth, imu, dt)
+        est1 = propagate(est, imu, dt)
         e1 = np.concatenate([
             sek3_log(compose(est1.group, inverse(truth1.group))),
             est1.bias.gyro - truth1.bias.gyro,
@@ -368,8 +373,8 @@ def test_propagation_invariant_under_yaw_and_translation():
     T[:12, :12] = adjoint(L)
     moved = replace(st, group=compose(L, st.group), P=T @ st.P @ T.T)
     imu = imu_at(DT, accel=(0.5, -0.1, 9.7), gyro=(0.2, -0.3, 0.1))
-    a = propagate(st, imu, DT, CFG, contact_frame=np.eye(3))
-    b = propagate(moved, imu, DT, CFG, contact_frame=np.eye(3))
+    a = propagate(st, imu, DT, contact_frame=np.eye(3))
+    b = propagate(moved, imu, DT, contact_frame=np.eye(3))
     expect = compose(L, a.group)
     np.testing.assert_allclose(b.group.rot, expect.rot, atol=1e-10)
     np.testing.assert_allclose(b.group.cols, expect.cols, atol=1e-10)
@@ -385,8 +390,8 @@ def test_correction_invariant_under_yaw_and_translation():
     T = np.eye(st.dim)
     T[:12, :12] = adjoint(L)
     moved = replace(st, group=compose(L, st.group), P=T @ st.P @ T.T)
-    a, ia = correct_contact(st, 3, shape, CFG)
-    b, ib = correct_contact(moved, 3, shape, CFG)
+    a, ia = correct_contact(st, 3, shape, COV_FK)
+    b, ib = correct_contact(moved, 3, shape, COV_FK)
     assert ia.applied and ib.applied
     assert abs(ia.mahalanobis - ib.mahalanobis) < 1e-9
     expect = compose(L, a.group)
@@ -399,9 +404,9 @@ def test_yaw_variance_never_decreases():
     st, shape = state_with_contact(3)
     yaw_var = st.P[2, 2]
     for k in range(200):
-        st = propagate(st, imu_at((k + 1) * DT), DT, CFG)
+        st = propagate(st, imu_at((k + 1) * DT), DT)
         if k % 2 == 1:
-            st, _ = correct_contact(st, 3, shape, CFG)
+            st, _ = correct_contact(st, 3, shape, COV_FK)
         assert st.P[2, 2] >= yaw_var - 1e-15
         yaw_var = st.P[2, 2]
 
@@ -423,22 +428,22 @@ def test_nees_consistency_monte_carlo():
         st = initial_state(np.eye(3), ImuBias(), 0.0)
         st = replace(st, group=compose(sek3_exp(xi0), st.group))
         q = Q_STANCE.copy()
-        q[3] = d_true + rng.normal(scale=CFG.sigma_fk, size=3)
-        st = augment_contact(st, 3, RobotShape(0.0, q), CFG)
+        q[3] = d_true + rng.normal(scale=SIGMA_FK, size=3)
+        st = augment_contact(st, 3, RobotShape(0.0, q), COV_FK)
         for k in range(200):
-            bg = bg + CFG.sigma_gyro_bias * np.sqrt(DT) * rng.normal(size=3)
-            ba = ba + CFG.sigma_accel_bias * np.sqrt(DT) * rng.normal(size=3)
-            d_true = d_true + CFG.sigma_contact * np.sqrt(DT) * rng.normal(size=3)
+            bg = bg + SIGMA_GYRO_BIAS * np.sqrt(DT) * rng.normal(size=3)
+            ba = ba + SIGMA_ACCEL_BIAS * np.sqrt(DT) * rng.normal(size=3)
+            d_true = d_true + SIGMA_CONTACT * np.sqrt(DT) * rng.normal(size=3)
             imu = ImuSample(
                 (k + 1) * DT,
                 np.array([0.0, 0.0, 9.81]) + ba
-                + CFG.sigma_accel / np.sqrt(DT) * rng.normal(size=3),
-                bg + CFG.sigma_gyro / np.sqrt(DT) * rng.normal(size=3))
-            st = propagate(st, imu, DT, CFG)
+                + SIGMA_ACCEL / np.sqrt(DT) * rng.normal(size=3),
+                bg + SIGMA_GYRO / np.sqrt(DT) * rng.normal(size=3))
+            st = propagate(st, imu, DT)
             if k % 2 == 1:
                 q = Q_STANCE.copy()
-                q[3] = d_true + rng.normal(scale=CFG.sigma_fk, size=3)
-                st, _ = correct_contact(st, 3, RobotShape(imu.timestamp, q), CFG)
+                q[3] = d_true + rng.normal(scale=SIGMA_FK, size=3)
+                st, _ = correct_contact(st, 3, RobotShape(imu.timestamp, q), COV_FK)
         xi = right_invariant_error(st, np.eye(3), np.zeros(3), np.zeros(3))
         nees = xi @ np.linalg.solve(st.P[:9, :9], xi)
         if lo <= nees <= hi:
@@ -452,15 +457,15 @@ def test_long_mixed_run_stays_psd():
     shape = RobotShape(0.0, Q_STANCE)
     for k in range(3000):
         if k % 600 == 100:
-            st = augment_contact(st, 3, shape, CFG)
+            st = augment_contact(st, 3, shape, COV_FK)
         if k % 600 == 500 and 3 in st.active_contacts:
             st = marginalize_contact(st, 3)
         imu = imu_at((k + 1) * DT,
                      accel=np.array([0, 0, 9.81]) + rng.normal(scale=0.2, size=3),
                      gyro=rng.normal(scale=0.3, size=3))
-        st = propagate(st, imu, DT, CFG)
+        st = propagate(st, imu, DT)
         if 3 in st.active_contacts and k % 2 == 1:
-            st, _ = correct_contact(st, 3, shape, CFG)
+            st, _ = correct_contact(st, 3, shape, COV_FK)
     np.testing.assert_allclose(st.P, st.P.T, atol=1e-12)
     assert np.linalg.eigvalsh(st.P).min() >= -1e-9 * np.trace(st.P)
 
@@ -568,7 +573,7 @@ def test_driver_one_J_p_sweep_per_fresh_shape(monkeypatch):
         return sweep(meas, contact_endcap, cfg, prior=prior)
 
     monkeypatch.setattr(tenseg.shape, "J_p", counted)
-    cfg = FilterConfig(noise=replace(CFG, fk_covariance_mode="jacobian"))
+    cfg = FilterConfig(fk_covariance_mode="jacobian")
     f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0), cfg)
     flags = [i in (1, 3) for i in range(6)]
     fresh = [k * DT for k in range(2, 9, 2)]
@@ -578,10 +583,50 @@ def test_driver_one_J_p_sweep_per_fresh_shape(monkeypatch):
     assert calls == fresh
 
 
-def test_fk_covariance_modes():
-    np.testing.assert_allclose(fk_covariance_body(CFG),
-                               CFG.sigma_fk**2 * np.eye(3))
-    J = np.random.default_rng(0).normal(size=(3, 9))
-    cfg = replace(CFG, fk_covariance_mode="jacobian")
-    np.testing.assert_allclose(fk_covariance_body(cfg, J),
-                               CFG.sigma_cable**2 * (J @ J.T))
+def test_driver_fk_fallback_on_jacobian_unavailable(monkeypatch):
+    """A failed J_p sweep gives the empirical covariance for that shape;
+    the next fresh shape sweeps again."""
+    calls = []
+    sweep = tenseg.shape.J_p
+
+    def first_fails(meas, contact_endcap, cfg, prior=None):
+        calls.append(meas.timestamp)
+        if len(calls) == 1:
+            raise JacobianUnavailable("perturbed solve failed")
+        return sweep(meas, contact_endcap, cfg, prior=prior)
+
+    monkeypatch.setattr(tenseg.shape, "J_p", first_fails)
+    start = initial_state(np.eye(3), ImuBias(), 0.0)
+    jac = ContactAidedFilter(start, FilterConfig(fk_covariance_mode="jacobian"))
+    emp = ContactAidedFilter(start)
+    log = stance_log([i in (1, 3) for i in range(6)], 4)
+    for a, b in zip(jac.run(log), emp.run(log)):
+        if a.timestamp < 4 * DT:
+            # the augment at 2 DT and the corrections on that shape
+            assert len(jac.corrections) == (2 if a.timestamp == 2 * DT else 0)
+            for x, y in ((jac.state.group.rot, emp.state.group.rot),
+                         (jac.state.group.cols, emp.state.group.cols),
+                         (jac.state.P, emp.state.P),
+                         (jac.state.bias.accel, emp.state.bias.accel),
+                         (jac.state.bias.gyro, emp.state.bias.gyro)):
+                assert x.tobytes() == y.tobytes()
+    assert calls == [2 * DT, 4 * DT]
+    assert jac.state.P.tobytes() != emp.state.P.tobytes()
+
+
+def test_fk_covariance_modes(monkeypatch):
+    J = np.random.default_rng(0).normal(size=(6, 3, 9))
+    monkeypatch.setattr(tenseg.shape, "J_p", lambda *args, **kwargs: J)
+    for mode in ("empirical", "jacobian"):
+        f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0),
+                               FilterConfig(sigma_fk=0.03, fk_covariance_mode=mode))
+        f.process_cables(stance_cables())
+        for endcap in range(6):
+            want = (SIGMA_CABLE**2 * (J[endcap] @ J[endcap].T)
+                    if mode == "jacobian" else 0.03**2 * np.eye(3))
+            np.testing.assert_allclose(f._fk_covariance(endcap), want)
+    with pytest.raises(ValueError, match="fk_covariance_mode"):
+        FilterConfig(fk_covariance_mode="exact")
+    for sigma_fk in (np.nan, np.inf, -0.01, 0.0):
+        with pytest.raises(ValueError, match="sigma_fk"):
+            FilterConfig(sigma_fk=sigma_fk)

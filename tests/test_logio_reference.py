@@ -16,7 +16,14 @@ import pytest
 from tenseg import __version__
 from tenseg.cli import main
 from tenseg.evaluate import Trajectory, align_initial, drift_metrics
-from tenseg.inekf import ContactVector, ImuSample, NoiseConfig
+from tenseg.inekf import (
+    SIGMA_ACCEL,
+    SIGMA_ACCEL_BIAS,
+    SIGMA_GYRO,
+    SIGMA_GYRO_BIAS,
+    ContactVector,
+    ImuSample,
+)
 from tenseg.liegroup import so3_exp
 from tenseg.logio import (
     LogFormatError,
@@ -26,7 +33,7 @@ from tenseg.logio import (
     write_trajectory,
 )
 from tenseg.shape import CABLE_PAIRS, CableMeasurements
-from tenseg.simulator import SimConfig, corrupt, generate
+from tenseg.simulator import SimConfig, SimOutput, corrupt, generate
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +174,7 @@ def ref_read_sensor_log(path):
     return header, events
 
 
-def ref_corrupt(sim, noise=None, seed=0, cable_noise=0.0, chatter=0.0):
-    if noise is None:
-        noise = NoiseConfig()
+def ref_corrupt(sim, seed=0, cable_noise=0.0, chatter=0.0):
     rng = np.random.default_rng(seed)
     dt = 1.0 / sim.config.imu_rate
     root = 1.0 / np.sqrt(dt)
@@ -177,12 +182,12 @@ def ref_corrupt(sim, noise=None, seed=0, cable_noise=0.0, chatter=0.0):
     ba = np.zeros(3)
     imu = []
     for s in sim.imu:
-        bg = bg + noise.sigma_gyro_bias * np.sqrt(dt) * rng.normal(size=3)
-        ba = ba + noise.sigma_accel_bias * np.sqrt(dt) * rng.normal(size=3)
+        bg = bg + SIGMA_GYRO_BIAS * np.sqrt(dt) * rng.normal(size=3)
+        ba = ba + SIGMA_ACCEL_BIAS * np.sqrt(dt) * rng.normal(size=3)
         imu.append(ImuSample(
             s.timestamp,
-            s.accel + ba + noise.sigma_accel * root * rng.normal(size=3),
-            s.gyro + bg + noise.sigma_gyro * root * rng.normal(size=3)))
+            s.accel + ba + SIGMA_ACCEL * root * rng.normal(size=3),
+            s.gyro + bg + SIGMA_GYRO * root * rng.normal(size=3)))
     cables = sim.cables
     if cable_noise > 0.0:
         cables = tuple(
@@ -388,7 +393,7 @@ def test_read_sensor_log_matches_reference(tmp_path):
     with open(path, "a") as f:
         f.write("\n   \n")
         f.write('{"t": 9, "type": "imu", "a": [1, -0.0, 2e-320], '
-                '"w": [true, false, 1e300]}\n')
+                '"w": [1, 0, 1e300]}\n')
         lengths = ", ".join(f'"{i}-{j}": "{k}"'
                             for k, (i, j) in enumerate(CABLE_PAIRS))
         f.write('{"type": "cable", "t": "9.5", "extra": 1, "l": {%s}}\n'
@@ -474,6 +479,12 @@ BAD_LOGS = [
      ":2: invalid record (timestamp must be a number, got true)", False),
     ([HEADER, CABLE.replace('"0-4": 1.0', '"0-4": false')],
      ":2: invalid record (cable length must be a number, got false)", False),
+    ([HEADER, '{"t": 0.1, "type": "imu", "a": [true, false, 9.81], '
+      '"w": [0, 0, 0]}'],
+     ":2: invalid record (accel must be a finite 3-vector)", False),
+    ([HEADER, '{"t": 0.1, "type": "imu", "a": [0, 0, 9.81], '
+      '"w": [0, true, 0]}'],
+     ":2: invalid record (gyro must be a finite 3-vector)", False),
 ]
 
 
@@ -525,11 +536,15 @@ def test_corrupt_matches_reference(short_sim, seed, cable_noise, chatter):
 
 
 def test_corrupt_non_finite_sample_raises_as_reference(short_sim):
-    noise = NoiseConfig(sigma_accel=np.inf)
+    # one trusted sample with an infinite accel, which no constructor checked
+    bad = ImuSample._trusted(0.01, np.array([0.0, np.inf, 9.81]), np.zeros(3))
+    sim = SimOutput(short_sim.config, short_sim.body_shape, short_sim.frames,
+                    (bad,), short_sim.cables, short_sim.contacts,
+                    short_sim.path_length)
     with pytest.raises(ValueError, match="accel must be a finite 3-vector"):
-        ref_corrupt(short_sim, noise=noise)
+        ref_corrupt(sim)
     with pytest.raises(ValueError, match="accel must be a finite 3-vector"):
-        corrupt(short_sim, noise=noise)
+        corrupt(sim)
 
 
 def test_errors_csv_matches_reference(tmp_path):

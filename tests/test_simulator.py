@@ -3,9 +3,17 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from tenseg.inekf import ImuBias, NoiseConfig, initial_state, propagate
+from tenseg import simulator
+from tenseg.inekf import (
+    SIGMA_ACCEL,
+    SIGMA_GYRO,
+    ImuBias,
+    initial_state,
+    propagate,
+)
 from tenseg.liegroup import SMALL_ANGLE, so3_exp, so3_log
 from tenseg.shape import (
+    GRAVITY,
     RobotShape,
     ShapeSolverConfig,
     asymmetric_stance,
@@ -13,6 +21,7 @@ from tenseg.shape import (
     reconstruct_shape,
 )
 from tenseg.simulator import (
+    CONTACT_RATE,
     CONTACT_TOL,
     SimConfig,
     SimulationError,
@@ -24,8 +33,6 @@ from tenseg.simulator import (
     generate,
     terrain_height,
 )
-
-GRAVITY = np.array([0.0, 0.0, -9.81])
 
 SIM = generate(SimConfig(maneuver="forward"))
 SHORT = SimConfig(maneuver="forward", target_length=1.5)
@@ -99,12 +106,11 @@ def test_cable_lengths_constant():
 def test_imu_strapdown_self_consistency():
     f0 = SIM.frames[0]
     st = initial_state(f0.rotation, ImuBias(), 0.0, position=f0.position)
-    cfg = NoiseConfig()
     gt = {round(f.timestamp * SIM.config.imu_rate): f for f in SIM.frames}
     for s in SIM.imu:
         if s.timestamp > 10.0:
             break
-        st = propagate(st, s, s.timestamp - st.timestamp, cfg)
+        st = propagate(st, s, s.timestamp - st.timestamp)
     f = gt[round(st.timestamp * SIM.config.imu_rate)]
     assert np.linalg.norm(st.position - f.position) < 1e-3
     assert np.linalg.norm(st.velocity - f.velocity) < 1e-3
@@ -139,9 +145,10 @@ def test_valley_terrain_runs():
     assert worst > -1e-6
 
 
-def test_duration_limit_raises():
+def test_duration_limit_raises(monkeypatch):
+    monkeypatch.setattr(simulator, "DURATION_LIMIT", 10.0)
     with pytest.raises(SimulationError):
-        generate(SimConfig(target_length=50.0, duration_limit=10.0))
+        generate(SimConfig(target_length=50.0))
 
 
 def test_invalid_config_rejected():
@@ -153,8 +160,7 @@ def test_invalid_config_rejected():
 
 @pytest.mark.parametrize("field,value", [
     *(("target_length", v) for v in (np.nan, np.inf, -1.0, 0.0)),
-    *((name, v) for name in ("imu_rate", "cable_rate", "contact_rate",
-                             "pivot_duration")
+    *((name, v) for name in ("imu_rate", "cable_rate", "pivot_duration")
       for v in (0.0, -5.0, np.nan, np.inf)),
     *((name, v) for name in ("dwell", "final_dwell")
       for v in (-0.1, np.nan, np.inf)),
@@ -193,9 +199,8 @@ def test_corrupt_noise_variance_matches_config():
         diffs_a.append(dirty.accel - clean.accel)
     sg = np.std(np.ravel(diffs_g))
     sa = np.std(np.ravel(diffs_a))
-    cfg = NoiseConfig()
-    assert abs(sg - cfg.sigma_gyro / np.sqrt(dt)) < 0.05 * cfg.sigma_gyro / np.sqrt(dt)
-    assert abs(sa - cfg.sigma_accel / np.sqrt(dt)) < 0.05 * cfg.sigma_accel / np.sqrt(dt)
+    assert abs(sg - SIGMA_GYRO / np.sqrt(dt)) < 0.05 * SIGMA_GYRO / np.sqrt(dt)
+    assert abs(sa - SIGMA_ACCEL / np.sqrt(dt)) < 0.05 * SIGMA_ACCEL / np.sqrt(dt)
 
 
 def test_corrupt_defaults_leave_cables_and_contacts_clean():
@@ -299,8 +304,8 @@ def _ref_streams(cfg):
         _, _, v1, _ = pose(k * dt)
         imu.append((k * dt, R0.T @ ((v1 - v0) / dt - GRAVITY), Rm.T @ omega))
     contacts = []
-    for k in range(int(round(t_end * cfg.contact_rate)) + 1):
-        R, p, _, _ = pose(k / cfg.contact_rate)
+    for k in range(int(round(t_end * CONTACT_RATE)) + 1):
+        R, p, _, _ = pose(k / CONTACT_RATE)
         contacts.append(flags(R, p))
     return frames, imu, contacts
 

@@ -8,7 +8,8 @@ For every seed it runs, on both trees:
     `tenseg evaluate` run on them;
   * `tenseg pipeline` with the default config, with
     `fk_covariance_mode = jacobian`, with `maneuver = backward` and
-    `cable_noise = 0.005`, and with `terrain = valley`.
+    `cable_noise = 0.005`, with `terrain = valley`, and in empirical FK
+    mode with `sigma_fk = 0.02`, `debounce_on = 3` and `chatter = 0.02`.
 The base tree is a `git archive` of BASE (default HEAD); only its
 `src/` is used, and both trees run the working tree's workloads.  Every
 output file (sensors.jsonl, ground_truth.tum, estimate.tum,
@@ -34,7 +35,8 @@ OUTPUTS = ("sensors.jsonl", "ground_truth.tum", "estimate.tum",
            "estimate_info.json", "metrics.json", "errors.csv", "sim_info.json")
 PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n",
                     "backward": "maneuver = backward\ncable_noise = 0.005\n",
-                    "valley": "terrain = valley\n"}
+                    "valley": "terrain = valley\n",
+                    "sigma_fk": "sigma_fk = 0.02\ndebounce_on = 3\nchatter = 0.02\n"}
 
 
 def produce(tree_src, out_dir, seeds):
