@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -104,12 +105,14 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_estimate(args, cfg):
+    duration = config_get(cfg, "calibration_duration", 2.0, float)
+    if not 0.0 < duration < math.inf:
+        raise ConfigError("calibration_duration must be positive and finite, "
+                          f"got {duration!r}")
     sensors = getattr(args, "sensors", None) or os.path.join(
         args.out_dir, "sensors.jsonl")
     _, events = read_sensor_log(sensors)
-    filt = ContactAidedFilter.calibrated(
-        events, config_get(cfg, "calibration_duration", 2.0, float),
-        _filter_config(cfg))
+    filt = ContactAidedFilter.calibrated(events, duration, _filter_config(cfg))
     log.info("calibrated until t = %s s; gyro bias %s",
              filt.t_start, filt.state.bias.gyro)
     ts, ps, Rs = [], [], []

@@ -101,12 +101,29 @@ class RobotShape:
     q: np.ndarray               # (6, 3)
     residual: float = 0.0       # objective value at the solution [m^2]
 
+    # A shape made by the solver keeps the _Terms of its endcaps, for the
+    # next solve warm-started from it; they take no part in ==, repr or
+    # dataclasses.replace.
+    _terms = None
+
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
         if q.shape != (6, 3):
             raise ValueError("q must be (6, 3)")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
+
+    @classmethod
+    def _solved(cls, timestamp, q, residual, terms):
+        """Shape the solver made from its fresh (6, 3) float endcaps q, which
+        become read-only, and the _Terms computed at them."""
+        q.flags.writeable = False
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "timestamp", timestamp)
+        object.__setattr__(shape, "q", q)
+        object.__setattr__(shape, "residual", residual)
+        object.__setattr__(shape, "_terms", terms)
+        return shape
 
     def cable_lengths(self):
         """Pairwise distances over the cable set, ordered like CABLE_PAIRS."""
@@ -130,6 +147,16 @@ class ShapeSolverConfig:
     def __post_init__(self):
         if self.L_rod <= 0 or self.rod_tol <= 0 or self.inequality_margin <= 0:
             raise ValueError("L_rod, rod_tol, inequality_margin must be positive")
+        # Derived once per config: the endcaps with q0, q1 pinned, as every
+        # iterate holds them, and the base rod's length error there.
+        q = np.zeros((6, 3))
+        q[0], q[1] = base_rod_endcaps(self)
+        q.flags.writeable = False
+        d = q[0] - q[1]
+        object.__setattr__(self, "_q_fixed", q)
+        object.__setattr__(self, "_base_rod_err", abs(math.sqrt(d.dot(d)) - self.L_rod))
+        # the fields the constraint terms at given endcaps depend on
+        object.__setattr__(self, "_terms_key", (self.L_rod, self.inequality_margin))
 
 
 def base_rod_endcaps(cfg: ShapeSolverConfig):
@@ -263,14 +290,22 @@ _Z_SIGN = np.array([s for _, s in _Z_SIGNS])
 # The kernels below are fixed-size code for 12 unknowns, 9 cables, 2
 # rod equalities and 10 inequalities.  Element by element they repeat
 # the arithmetic of the plain np.cross / einsum formulation kept as the
-# reference in tests/test_shape.py, so every solve is bit-identical to
-# it; a residual and its Jacobian are separate calls because a rejected
-# trial step needs no Jacobian.
+# reference in tests/test_shape.py, and the solver built on them makes
+# the number-producing calls of the plain solver kept as the reference
+# in tests/test_shape_reference.py, so every solve is bit-identical to
+# it.  Everything the kernels compute depends on the endcaps alone (and
+# on L_rod and inequality_margin), not on the cable lengths: see _Terms.
+
+# Rows of the affine vectors a, b, w (rod non-crossing) and u, v
+# (chirality), stacked so that one matmul forms all fifteen.
+_COEF = np.vstack([_GEO_A, _GEO_B, _GEO_W, _CHI_U, _CHI_V])
 
 # Coefficients of the free endcaps q2..q5, shaped to broadcast against
-# one 3-vector per constraint row: (3, 4, 1).
-_GEO_A2, _GEO_B2, _GEO_W2, _CHI_U2, _CHI_V2 = (
-    M[:, 2:, None].copy() for M in (_GEO_A, _GEO_B, _GEO_W, _CHI_U, _CHI_V))
+# one 3-vector per constraint row.  The six gradient rows (non-crossing,
+# then chirality) are c1 * l1 + c2 * l2, plus w's term on the first three.
+_GRAD_C1 = np.concatenate([_GEO_A, _CHI_U])[:, 2:, None].copy()
+_GRAD_C2 = np.concatenate([_GEO_B, _CHI_V])[:, 2:, None].copy()
+_GRAD_W = _GEO_W[:, 2:, None].copy()
 
 
 def _cross_index():
@@ -299,36 +334,24 @@ def _inequality_values(q):
     """
     vals = np.empty(10)
     np.multiply(_Z_SIGN, q.take(_Z_FLAT), out=vals[:4])
-    abw = np.empty((9, 3))
-    np.matmul(_GEO_A, q, out=abw[:3])
-    np.matmul(_GEO_B, q, out=abw[3:6])
-    np.matmul(_GEO_W, q, out=abw[6:])
+    abw = _COEF @ q                   # a, b, w, u, v
     t = abw.take(_CROSS_IDX)
     cr = t[0] * t[1]
-    cr -= t[2] * t[3]
-    vals[4:7] = np.einsum("ij,ij->i", cr[:3], abw[6:])
-    uv = np.empty((6, 3))
-    np.matmul(_CHI_U, q, out=uv[:3])
-    np.matmul(_CHI_V, q, out=uv[3:])
-    vals[7:] = np.einsum("ij,ij->i", uv[:3], uv[3:])
-    return vals, (cr, uv)
+    cr -= t[2] * t[3]                 # a x b, b x w, w x a
+    np.einsum("ij,ij->i", cr[:3], abw[6:9], out=vals[4:7])
+    np.einsum("ij,ij->i", abw[9:12], abw[12:], out=vals[7:])
+    return vals, (cr, abw[9:])
 
 
-def _inequality_grads(cr, uv):
-    """Gradients (10, 12) of the inequalities w.r.t. the free variables."""
-    grads = np.empty((10, 12))
-    grads[:4] = _Z_GRADS
-    G = grads.reshape(10, 4, 3)
-    cr = cr.reshape(3, 3, 1, 3)       # a x b, b x w, w x a
-    g = G[4:7]
-    np.multiply(_GEO_A2, cr[1], out=g)
-    g += _GEO_B2 * cr[2]
-    g += _GEO_W2 * cr[0]
-    uv = uv.reshape(2, 3, 1, 3)
-    g = G[7:]
-    np.multiply(_CHI_U2, uv[1], out=g)
-    g += _CHI_V2 * uv[0]
-    return grads
+def _inequality_grads(cr, uv, out):
+    """Gradients (10, 12) of the inequalities w.r.t. the free variables, into out."""
+    out[:4] = _Z_GRADS
+    g = out[4:].reshape(6, 4, 3)
+    # non-crossing: A * (b x w) + B * (w x a) + W * (a x b); chirality: U * v + V * u
+    np.multiply(_GRAD_C1, np.concatenate([cr[3:6], uv[3:]])[:, None], out=g)
+    g += _GRAD_C2 * np.concatenate([cr[6:], uv[:3]])[:, None]
+    g[:3] += _GRAD_W * cr[:3, None]
+    return out
 
 
 _INEQ_NAMES = ("upper_z_q2", "upper_z_q4", "lower_z_q3", "lower_z_q5",
@@ -342,50 +365,49 @@ def _jacobian_slots(rows, ends):
             + np.arange(3)).ravel()
 
 
-_ROWS_I = np.where(_PAIR_I >= 2)[0]
-_ROWS_J = np.where(_PAIR_J >= 2)[0]
-_JR_I = _jacobian_slots(_ROWS_I, _PAIR_I[_ROWS_I])
-_JR_J = _jacobian_slots(_ROWS_J, _PAIR_J[_ROWS_J])
-
-# Free rods r23 and r45: endcap rows and Jacobian slots of +u and -u.
+# The 11 endcap differences: the 9 cables, then the free rods r23, r45.
 _ROD_I = np.array([2, 4])
 _ROD_J = np.array([3, 5])
-_JC_I = _jacobian_slots([0, 1], _ROD_I)
-_JC_J = _jacobian_slots([0, 1], _ROD_J)
+_DIFF_I = np.concatenate([_PAIR_I, _ROD_I])
+_DIFF_J = np.concatenate([_PAIR_J, _ROD_J])
+
+# Jacobian rows (cables 0-8, rods 9-10) and slots of their +u blocks, of
+# the cables' -u blocks and of the rods' -u blocks.
+_PLUS_ROWS = np.where(_DIFF_I >= 2)[0]
+_J_PLUS = _jacobian_slots(_PLUS_ROWS, _DIFF_I[_PLUS_ROWS])
+_CABLE_MINUS_ROWS = np.where(_PAIR_J >= 2)[0]
+_J_CABLE_MINUS = _jacobian_slots(_CABLE_MINUS_ROWS, _PAIR_J[_CABLE_MINUS_ROWS])
+_J_ROD_MINUS = _jacobian_slots([9, 10], _ROD_J)
 
 
-def _cable_residual(q, lengths):
-    """Cable length residuals (9,), plus the differences and norms behind them."""
-    diff = q.take(_PAIR_I, axis=0)
-    diff -= q.take(_PAIR_J, axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return norms - lengths, (diff, norms)
+def _differences(q):
+    """The 11 endcap differences and their norms, cables first.
+
+    Cable norms go through einsum and rod norms row by row through
+    ndarray.dot, as np.linalg.norm does.
+    """
+    d = q.take(_DIFF_I, axis=0)
+    d -= q.take(_DIFF_J, axis=0)
+    sq = np.empty(11)
+    np.einsum("ij,ij->i", d[:9], d[:9], out=sq[:9])
+    sq[9] = d[9].dot(d[9])
+    sq[10] = d[10].dot(d[10])
+    return d, np.sqrt(sq)
 
 
-def _cable_jacobian(diff, norms):
-    unit = diff / norms[:, None]
-    Jr = np.zeros(108)
-    Jr[_JR_I] = unit.take(_ROWS_I, axis=0).ravel()
-    # Subtracted from zero rather than negated: zeros keep their sign.
-    Jr[_JR_J] -= unit.take(_ROWS_J, axis=0).ravel()
-    return Jr.reshape(9, 12)
+def _equality_jacobian(d, norms, out):
+    """Jacobian (11, 12) of the cable and rod lengths w.r.t. the free variables, into out.
 
-
-def _rod_eq_residual(q, L):
-    """Rod-length equality residuals for r23, r45, plus their differences and norms."""
-    d = q.take(_ROD_I, axis=0)
-    d -= q.take(_ROD_J, axis=0)
-    # Row by row through ndarray.dot, as np.linalg.norm does.
-    n = np.sqrt([d[0].dot(d[0]), d[1].dot(d[1])])
-    return n - L, (d, n)
-
-
-def _rod_eq_jacobian(d, n):
-    u = d / n[:, None]
-    Jc = np.zeros(24)
-    Jc[_JC_I] = u.ravel()
-    Jc[_JC_J] = -u.ravel()
-    return Jc.reshape(2, 12)
+    out must hold zeros.
+    """
+    unit = d / norms[:, None]
+    flat = out.reshape(-1)
+    flat[_J_PLUS] = unit.take(_PLUS_ROWS, axis=0).ravel()
+    # Cable rows subtract from zero rather than negate, so zeros keep
+    # their sign; rod rows negate.
+    flat[_J_CABLE_MINUS] = np.subtract(0.0, unit.take(_CABLE_MINUS_ROWS, axis=0).ravel())
+    flat[_J_ROD_MINUS] = -unit[9:].ravel()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +433,20 @@ _MARGIN_NAMES = ("fixed_q0", "fixed_q1", "upper_half_plane",
                  "lower_half_plane", "rod_lengths") + _INEQ_NAMES[4:]
 
 
-def _margins(q, cfg: ShapeSolverConfig):
-    """The 11 constraint margins of endcaps q, in _MARGIN_NAMES order."""
-    vals = _inequality_values(q)[0].tolist()
-    fixed = np.abs(q[:2] - base_rod_endcaps(cfg)).max(axis=1).tolist()
-    rod_err = max(abs(math.sqrt(d.dot(d)) - cfg.L_rod)
-                  for d in q[0::2] - q[1::2])
+def _margin_values(fixed, rod_errs, vals, cfg):
+    """The 11 margins, in _MARGIN_NAMES order, from the pinned endcaps'
+    coordinate errors, the three rod-length errors and the inequality values."""
     return (cfg.rod_tol - fixed[0], cfg.rod_tol - fixed[1],
             min(vals[0], vals[1]), min(vals[2], vals[3]),
-            cfg.rod_tol - rod_err, *vals[4:])
+            cfg.rod_tol - max(rod_errs), *vals[4:])
+
+
+def _margins(q, cfg: ShapeSolverConfig):
+    """The 11 constraint margins of endcaps q, in _MARGIN_NAMES order."""
+    return _margin_values(
+        np.abs(q[:2] - base_rod_endcaps(cfg)).max(axis=1).tolist(),
+        [abs(math.sqrt(d.dot(d)) - cfg.L_rod) for d in q[0::2] - q[1::2]],
+        _inequality_values(q)[0].tolist(), cfg)
 
 
 def _constraints_pass(q, cfg: ShapeSolverConfig):
@@ -450,117 +477,195 @@ _SQRT2 = np.sqrt(2.0)
 _EYE12 = np.eye(12)
 
 
-class _Iterate:
-    """Constraint terms at one iterate x of the free variables.
+class _Terms:
+    """Constraint terms at endcaps q that do not depend on the cable lengths.
 
-    They depend on x alone, not on the multipliers or the penalty
-    weight, so an iterate carried into the next outer pass is not
-    evaluated again.  The Jacobians and the KKT residual are computed
-    on first use: a rejected trial step needs neither.
+    They depend on q, L_rod and inequality_margin alone; the last two
+    are their key.  Every iterate has one set; a solver-made RobotShape
+    keeps the set of its own endcaps, so a solve warm-started from it
+    under a config with the same key starts from them instead of
+    computing them again.  The
+    Jacobian (21, 12) of [cable lengths; rod lengths; inequalities] and
+    the worst violation are computed on first use: a rejected trial step
+    needs neither.
     """
 
-    def __init__(self, x, q_fixed, lengths, cfg):
-        q = q_fixed.copy()
-        q[2:] = x.reshape(4, 3)
+    __slots__ = ("key", "d", "norms", "c", "g", "ineq", "gt", "_J", "_A", "_viol")
+
+    def __init__(self, q, cfg):
+        self.key = cfg._terms_key
+        self.d, self.norms = _differences(q)
+        self.c = self.norms[9:] - cfg.L_rod
+        self.g, self.ineq = _inequality_values(q)
+        self.gt = self.g - cfg.inequality_margin
+        self._J = None
+        self._A = None
+        self._viol = None
+
+    def jacobian(self):
+        if self._J is None:
+            J = np.zeros((21, 12))
+            _equality_jacobian(self.d, self.norms, J[:11])
+            _inequality_grads(*self.ineq, J[11:])
+            self._J = J
+        return self._J
+
+    def kkt_rows(self):
+        """Jacobian rows of the rod equalities and near-active inequalities."""
+        if self._A is None:
+            J = self.jacobian()
+            near = self.gt <= 1e-6
+            self._A = np.vstack([J[9:11], J[11:][near]]) if near.any() else J[9:11]
+        return self._A
+
+    def violation(self):
+        """Worst rod-length or inequality violation."""
+        if self._viol is None:
+            self._viol = max(abs(self.c).max(), max(0.0, -self.gt.min()))
+        return self._viol
+
+    def passes(self, cfg):
+        """_constraints_pass of the solver-made endcaps these terms are of.
+
+        Their pinned endcaps are copies of cfg's, so those coordinates
+        are exact and the base rod's length error is cfg's own.
+        """
+        c0, c1 = self.c.tolist()
+        return all(v >= 0 for v in _margin_values(
+            (0.0, 0.0), (cfg._base_rod_err, abs(c0), abs(c1)), self.g.tolist(), cfg))
+
+
+class _Iterate:
+    """One iterate x of the free variables: its terms and cable residuals.
+
+    The KKT residual is computed on first use.  An iterate carried into
+    the next outer pass is not evaluated again.
+    """
+
+    __slots__ = ("x", "terms", "r", "_kkt")
+
+    def __init__(self, x, terms, lengths):
         self.x = x
-        self.r, self._cable = _cable_residual(q, lengths)
-        self.c, self._rod = _rod_eq_residual(q, cfg.L_rod)
-        g, self._ineq = _inequality_values(q)
-        self.gt = g - cfg.inequality_margin
-        self._jacobians = None
+        self.terms = terms
+        self.r = terms.norms[:9] - lengths
         self._kkt = None
 
-    def jacobians(self):
-        """(Jr, Jc, Jg) w.r.t. the free variables."""
-        if self._jacobians is None:
-            self._jacobians = (_cable_jacobian(*self._cable),
-                               _rod_eq_jacobian(*self._rod),
-                               _inequality_grads(*self._ineq))
-        return self._jacobians
+    @classmethod
+    def at(cls, x, lengths, cfg):
+        q = cfg._q_fixed.copy()
+        q[2:] = x.reshape(4, 3)
+        return cls(x, _Terms(q, cfg), lengths)
 
     def kkt_residual(self):
         """First-order optimality residual, independent of the penalty weight.
 
         Fits multipliers for the rod equalities (and any near-active
         inequalities) by least squares and returns the norm of the cable
-        gradient left unexplained by them, together with the worst
-        constraint violation.  Unlike the augmented-Lagrangian gradient,
-        this does not inherit the mu * machine-epsilon noise floor, so it
-        stays meaningful at large penalty weights.
+        gradient left unexplained by them.  Unlike the
+        augmented-Lagrangian gradient, this does not inherit the
+        mu * machine-epsilon noise floor, so it stays meaningful at
+        large penalty weights.
         """
         if self._kkt is None:
-            Jr, Jc, Jg = self.jacobians()
-            g_obj = 2.0 * (Jr.T @ self.r)
-            A = np.vstack([Jc, Jg[self.gt <= 1e-6]])
+            g_obj = 2.0 * (self.terms.jacobian()[:9].T @ self.r)
+            A = self.terms.kkt_rows()
             lam, *_ = np.linalg.lstsq(A.T, g_obj, rcond=None)
-            kkt = float(np.max(np.abs(g_obj - A.T @ lam)))
-            viol = float(max(np.max(np.abs(self.c)), max(0.0, -np.min(self.gt))))
-            self._kkt = kkt, viol
+            self._kkt = abs(g_obj - A.T @ lam).max()
         return self._kkt
 
 
-def _al_residual(it, lam_eq, lam_in, mu):
-    """Stacked augmented-Lagrangian residual vector and active set at it.
+class _Weights:
+    """Multipliers and penalty weight of one outer pass, and the factors
+    the AL residual and Jacobian take from them.  The factors of mu alone
+    are taken from the previous pass's weights when mu is unchanged."""
+
+    __slots__ = ("lam_in", "mu", "sqrt_mu", "shift", "scale")
+
+    def __init__(self, lam_eq, lam_in, mu, prev=None):
+        self.lam_in, self.mu = lam_in, mu
+        if prev is not None and prev.mu == mu:
+            self.sqrt_mu, self.scale = prev.sqrt_mu, prev.scale
+        else:
+            self.sqrt_mu = np.sqrt(mu)
+            # Row factors of the AL Jacobian's cable and rod-equality rows.
+            self.scale = np.full((11, 1), self.sqrt_mu)
+            self.scale[:9] = _SQRT2
+        self.shift = lam_eq / mu
+
+
+def _al_residual(it, w):
+    """Stacked augmented-Lagrangian residual vector at it, with the
+    active set (None when no inequality is active) and the inequality
+    slack.
 
     The AL objective is 0.5*||rho||^2 (up to a constant), covering the
     cable objective, the rod equalities, and the PHR terms for the
-    inequalities g >= margin.
+    inequalities g >= margin.  The slack, clipped at zero, is the next
+    pass's inequality multipliers.
     """
-    slack = lam_in - mu * it.gt
+    slack = w.lam_in - w.mu * it.terms.gt
     act = slack > 0.0
-    sqrt_mu = np.sqrt(mu)
     rho = np.zeros(21)
     np.multiply(_SQRT2, it.r, out=rho[:9])
-    np.multiply(sqrt_mu, it.c + lam_eq / mu, out=rho[9:11])
-    np.divide(slack, sqrt_mu, out=rho[11:], where=act)
-    return rho, act
+    np.multiply(w.sqrt_mu, it.terms.c + w.shift, out=rho[9:11])
+    if not act.any():
+        return rho, None, slack
+    np.divide(slack, w.sqrt_mu, out=rho[11:], where=act)
+    return rho, act, slack
 
 
-def _al_jacobian(it, act, mu):
+def _al_jacobian(it, act, w):
     """Jacobian of rho at it for the active set act."""
-    Jr, Jc, Jg = it.jacobians()
-    sqrt_mu = np.sqrt(mu)
+    J = it.terms.jacobian()
     Jrho = np.zeros((21, 12))
-    np.multiply(_SQRT2, Jr, out=Jrho[:9])
-    np.multiply(sqrt_mu, Jc, out=Jrho[9:11])
-    np.multiply(-sqrt_mu, Jg, out=Jrho[11:], where=act[:, None])
+    np.multiply(w.scale, J[:11], out=Jrho[:11])
+    if act is not None:
+        np.multiply(-w.sqrt_mu, J[11:], out=Jrho[11:], where=act[:, None])
     return Jrho
 
 
-def _gauss_newton_inner(it, q_fixed, lengths, cfg, lam_eq, lam_in, mu, gtol):
+def _gauss_newton_inner(it, lengths, cfg, w, gtol):
     """Damped (Levenberg) Gauss-Newton on the AL subproblem.
 
-    Returns the last accepted iterate with its AL residual and Jacobian.
+    Returns the last accepted iterate, the largest magnitude of the AL
+    gradient there and the inequality slack there.
     """
-    rho, act = _al_residual(it, lam_eq, lam_in, mu)
-    Jrho = _al_jacobian(it, act, mu)
-    cost = 0.5 * rho @ rho
+    rho, act, slack = _al_residual(it, w)
+    Jrho = _al_jacobian(it, act, w)
+    cost = None           # of rho, computed for the first trial step
     nu = 1e-6
     for _ in range(cfg.inner_iterations):
         grad = Jrho.T @ rho
-        if np.abs(grad).max() <= gtol:
+        grad_max = np.abs(grad).max()
+        if grad_max <= gtol:
             break
+        if cost is None:
+            cost = 0.5 * rho @ rho
         H = Jrho.T @ Jrho
+        neg_grad = -grad
         accepted = False
         for _ in range(25):
             try:
-                step = np.linalg.solve(H + nu * _EYE12, -grad)
+                step = np.linalg.solve(H + nu * _EYE12, neg_grad)
             except np.linalg.LinAlgError:
                 nu *= 10.0
                 continue
-            trial = _Iterate(it.x + step, q_fixed, lengths, cfg)
-            rho_new, act = _al_residual(trial, lam_eq, lam_in, mu)
+            trial = _Iterate.at(it.x + step, lengths, cfg)
+            rho_new, act, slack_new = _al_residual(trial, w)
             cost_new = 0.5 * rho_new @ rho_new
             if cost_new < cost:
-                it, rho, cost = trial, rho_new, cost_new
-                Jrho = _al_jacobian(it, act, mu)
+                it, rho, cost, slack = trial, rho_new, cost_new, slack_new
+                Jrho = _al_jacobian(it, act, w)
                 nu = max(nu * 0.25, 1e-12)
                 accepted = True
                 break
             nu *= 4.0
         if not accepted:
             break
-    return it, rho, Jrho
+    else:
+        # every pass accepted a step (or none ran): grad is stale
+        grad_max = np.abs(Jrho.T @ rho).max()
+    return it, grad_max, slack
 
 
 def _align_gauge(p, ref):
@@ -571,15 +676,16 @@ def _align_gauge(p, ref):
     one-parameter family; pinning it to the warm start keeps the shape
     continuous across frames.
     """
-    A = float(p[:, 0] @ ref[:, 0] + p[:, 1] @ ref[:, 1])
-    B = float(p[:, 0] @ ref[:, 1] - p[:, 1] @ ref[:, 0])
+    px, py, rx, ry = p[:, 0], p[:, 1], ref[:, 0], ref[:, 1]
+    A = float(px @ rx + py @ ry)
+    B = float(px @ ry - py @ rx)
     if A == 0.0 and B == 0.0:
         return p
     theta = np.arctan2(B, A)
     c, s = np.cos(theta), np.sin(theta)
     out = p.copy()
-    out[:, 0] = c * p[:, 0] - s * p[:, 1]
-    out[:, 1] = s * p[:, 0] + c * p[:, 1]
+    out[:, 0] = c * px - s * py
+    out[:, 1] = s * px + c * py
     return out
 
 
@@ -593,6 +699,12 @@ def reconstruct_shape(meas: CableMeasurements, prior: RobotShape | None,
     inputs yield bit-identical outputs.  The azimuthal gauge freedom
     about the base rod is pinned to the warm start.
 
+    The shape returned, like the best shape of a ShapeSolverFailure,
+    carries the constraint terms of its endcaps: a solve warm-started
+    from it under a config of the same L_rod and inequality_margin
+    starts from them, with the same bits as from a plain RobotShape of
+    those endcaps.
+
     Raises MeasurementRejected for mutually inconsistent cable lengths
     and ShapeSolverFailure when no feasible stationary point is reached.
     """
@@ -605,21 +717,23 @@ def reconstruct_shape(meas: CableMeasurements, prior: RobotShape | None,
 
 
 def _reconstruct_once(meas, prior, cfg):
+    longest = 2.0 * cfg.L_rod
     for p, l in meas.lengths.items():
-        if not (0.0 < l < 2.0 * cfg.L_rod):
+        if not (0.0 < l < longest):
             raise MeasurementRejected(f"cable {p} length {l} outside (0, 2*L_rod)")
     _check_triangles(meas.lengths, cfg.triangle_tol)
     lengths = meas.as_vector()
 
-    q0, q1 = base_rod_endcaps(cfg)
-    q_fixed = np.zeros((6, 3))
-    q_fixed[0], q_fixed[1] = q0, q1
-    if prior is not None:
-        x = prior.q[2:].ravel().copy()
-    else:
+    if prior is None:
         x = canonical_prism(cfg)[2:].ravel()
-    x_start = x.copy()
-    it = _Iterate(x, q_fixed, lengths, cfg)
+        terms = None
+    else:
+        x = prior.q[2:].ravel()
+        terms = prior._terms
+    if terms is not None and terms.key == cfg._terms_key:
+        it = _Iterate(x, terms, lengths)
+    else:
+        it = _Iterate.at(x, lengths, cfg)
 
     lam_eq = np.zeros(2)
     lam_in = np.zeros(10)
@@ -627,17 +741,18 @@ def _reconstruct_once(meas, prior, cfg):
     omega = 1e-2          # inner stationarity tolerance, tightened per outer pass
     converged = False
     prev_grad = np.inf
+    w = None
     for _ in range(cfg.max_iterations):
-        it, rho, Jrho = _gauss_newton_inner(
-            it, q_fixed, lengths, cfg, lam_eq, lam_in, mu, omega)
-        kkt, viol = it.kkt_residual()
-        grad = np.max(np.abs(Jrho.T @ rho))
-        if viol <= cfg.rod_tol and kkt <= cfg.convergence_tol:
+        w = _Weights(lam_eq, lam_in, mu, w)
+        it, grad, slack = _gauss_newton_inner(it, lengths, cfg, w, omega)
+        kkt = it.kkt_residual()
+        feasible = it.terms.violation() <= cfg.rod_tol
+        if feasible and kkt <= cfg.convergence_tol:
             converged = True
             break
-        lam_eq = lam_eq + mu * it.c
-        lam_in = np.maximum(0.0, lam_in - mu * it.gt)
-        if viol <= cfg.rod_tol:
+        lam_eq = lam_eq + mu * it.terms.c
+        lam_in = np.maximum(0.0, slack)
+        if feasible:
             omega = max(cfg.convergence_tol, omega * 0.1)
             if grad > 0.5 * prev_grad:
                 # feasible but the multiplier iteration is converging
@@ -649,11 +764,12 @@ def _reconstruct_once(meas, prior, cfg):
             omega = max(cfg.convergence_tol, 1e-2 / mu)
         prev_grad = grad
 
-    q = q_fixed.copy()
-    q[2:] = _align_gauge(it.x.reshape(4, 3), x_start.reshape(4, 3))
-    r, _ = _cable_residual(q, lengths)
-    shape = RobotShape(meas.timestamp, q, residual=float(r @ r))
-    if not (converged and _constraints_pass(q, cfg)):
+    q = cfg._q_fixed.copy()
+    q[2:] = _align_gauge(it.x.reshape(4, 3), x.reshape(4, 3))
+    terms = _Terms(q, cfg)
+    r = terms.norms[:9] - lengths
+    shape = RobotShape._solved(meas.timestamp, q, float(r @ r), terms)
+    if not (converged and terms.passes(cfg)):
         report = check_constraints(shape, cfg)
         raise ShapeSolverFailure(
             f"shape solve did not converge (converged={converged}, "

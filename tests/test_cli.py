@@ -331,6 +331,19 @@ def test_estimate_accepts_one_second_calibration(tmp_path):
     assert info["samples"] == 100
 
 
+@pytest.mark.parametrize("duration", ["nan", "-1", "0", "inf"])
+def test_bad_calibration_duration_is_config_error(tmp_path, duration, caplog):
+    # estimate once reported these as a numerical failure (exit 3)
+    imu = [ImuSample(k * 0.005, np.array([0.0, 0.0, 9.81]), np.zeros(3))
+           for k in range(1, 601)]
+    write_sensor_log(tmp_path / "sensors.jsonl", imu, [], [], seed=0)
+    write_lines(tmp_path / "run.cfg", [f"calibration_duration = {duration}"])
+    assert main(["estimate", "--out-dir", str(tmp_path), "--log-level",
+                 "ERROR", "--config", str(tmp_path / "run.cfg")]) == 2
+    assert "calibration_duration" in caplog.text
+    assert not (tmp_path / "estimate.tum").exists()
+
+
 def test_runtime_failure_exits_3(tmp_path):
     path = tmp_path / "far.cfg"
     write_lines(path, ["target_length = 500.0"])

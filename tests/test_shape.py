@@ -30,30 +30,30 @@ from tenseg.shape import (
     _PAIR_J,
     _Z_GRADS,
     _Z_SIGNS,
+    _Terms,
     _align_gauge,
-    _cable_jacobian,
-    _cable_residual,
-    _inequality_grads,
-    _inequality_values,
-    _rod_eq_jacobian,
-    _rod_eq_residual,
 )
 
 CFG = ShapeSolverConfig()
 RNG = np.random.default_rng(42)
 
 
-def _with_jacobian(residual, jacobian):
-    """A kernel's values and Jacobian w.r.t. q2..q5, as the solver pairs them."""
-    def kernel(q, *args):
-        values, parts = residual(q, *args)
-        return values, jacobian(*parts)
-    return kernel
+# Each kernel's values and Jacobian w.r.t. q2..q5, as the solver's
+# _Terms hold them.
+
+def _cable_residual_grad(q, lengths):
+    terms = _Terms(q, CFG)
+    return terms.norms[:9] - lengths, terms.jacobian()[:9]
 
 
-_cable_residual_grad = _with_jacobian(_cable_residual, _cable_jacobian)
-_rod_eq_residual_grad = _with_jacobian(_rod_eq_residual, _rod_eq_jacobian)
-_inequality_values_grads = _with_jacobian(_inequality_values, _inequality_grads)
+def _rod_eq_residual_grad(q, L):
+    terms = _Terms(q, replace(CFG, L_rod=L))
+    return terms.c, terms.jacobian()[9:11]
+
+
+def _inequality_values_grads(q):
+    terms = _Terms(q, CFG)
+    return terms.g, terms.jacobian()[11:]
 
 
 def measurement_of(q, t=0.0):

@@ -9,12 +9,20 @@ For every seed it runs, on both trees:
   * `tenseg pipeline` with the default config, with
     `fk_covariance_mode = jacobian`, with `maneuver = backward` and
     `cable_noise = 0.005`, with `terrain = valley`, and in empirical FK
-    mode with `sigma_fk = 0.02`, `debounce_on = 3` and `chatter = 0.02`.
+    mode with `sigma_fk = 0.02`, `debounce_on = 3` and `chatter = 0.02`;
+  * the shape solver alone, through its public API: a sha256 over the
+    `q` and `residual` of warm-chained solves of exact and noisy (5 mm)
+    cable frames of a forward roll (every fifth frame), chained from the
+    true shape as acceptance criterion 1 solves them, plus a cold solve
+    on every fourth of those and a `J_p` sweep of all six endcaps on
+    every twentieth, and the type and message of any failure
+    (solver_digest.txt).
 The base tree is a `git archive` of BASE (default HEAD); only its
 `src/` is used, and both trees run the working tree's workloads.  Every
 output file (sensors.jsonl, ground_truth.tum, estimate.tum,
-estimate_info.json, metrics.json, errors.csv, sim_info.json) is then
-compared byte for byte.  Exit status 0 means every file is identical.
+estimate_info.json, metrics.json, errors.csv, sim_info.json,
+solver_digest.txt) is then compared byte for byte.  Exit status 0 means
+every file is identical.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import filecmp
+import hashlib
 import io
 import os
 import subprocess
@@ -32,11 +41,52 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("sensors.jsonl", "ground_truth.tum", "estimate.tum",
-           "estimate_info.json", "metrics.json", "errors.csv", "sim_info.json")
+           "estimate_info.json", "metrics.json", "errors.csv", "sim_info.json",
+           "solver_digest.txt")
 PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n",
                     "backward": "maneuver = backward\ncable_noise = 0.005\n",
                     "valley": "terrain = valley\n",
                     "sigma_fk": "sigma_fk = 0.02\ndebounce_on = 3\nchatter = 0.02\n"}
+
+
+def solver_digest(seed):
+    """sha256 over the shape solver's outputs on one seed's frames."""
+    import numpy as np
+    from tenseg.shape import (
+        J_p,
+        RobotShape,
+        ShapeError,
+        ShapeSolverConfig,
+        reconstruct_shape,
+    )
+    from tenseg.simulator import SimConfig, corrupt, generate
+
+    cfg = ShapeSolverConfig()
+    sim = generate(SimConfig(maneuver="forward", target_length=2.0))
+    digest = hashlib.sha256()
+
+    def record(solve, *args):
+        try:
+            out = solve(*args)
+        except ShapeError as err:
+            digest.update(f"{type(err).__name__}: {err}".encode())
+            return None
+        if isinstance(out, RobotShape):
+            digest.update(out.q.tobytes())
+            digest.update(np.float64(out.residual).tobytes())
+        else:
+            digest.update(out.tobytes())
+        return out
+
+    for frames in (sim.cables, corrupt(sim, seed=seed, cable_noise=0.005).cables):
+        prior = RobotShape(0.0, sim.body_shape)
+        for k, meas in enumerate(frames[::5]):
+            prior = record(reconstruct_shape, meas, prior, cfg) or prior
+            if k % 4 == 0:
+                record(reconstruct_shape, meas, None, cfg)
+            if k % 20 == 0:
+                record(J_p, meas, range(6), cfg, prior)
+    return digest.hexdigest()
 
 
 def produce(tree_src, out_dir, seeds):
@@ -71,6 +121,9 @@ def produce(tree_src, out_dir, seeds):
             (d / "run.cfg").write_text(text)
             run(["pipeline", "--out-dir", str(d), "--seed", str(seed),
                  "--config", str(d / "run.cfg")])
+        d = out_dir / f"solver-seed{seed}"
+        d.mkdir(parents=True)
+        (d / "solver_digest.txt").write_text(solver_digest(seed) + "\n")
 
 
 def _extract(base, dest):
