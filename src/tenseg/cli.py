@@ -49,8 +49,7 @@ from .simulator import SimConfig, SimulationError, corrupt, generate
 log = logging.getLogger("tenseg")
 
 # FilterConfig fields set by config keys of the same name, and their types
-_FILTER_KEYS = {"debounce_on": int, "debounce_off": int, "sigma_fk": float,
-                "fk_covariance_mode": str}
+_FILTER_KEYS = {"sigma_fk": float, "fk_covariance_mode": str}
 
 _KNOWN_KEYS = {
     "maneuver", "terrain", "target_length", "cable_noise", "chatter",

@@ -479,14 +479,10 @@ def right_invariant_error(est: EstimatorState, truth_rot, truth_vel, truth_pos):
 
 @dataclass(frozen=True)
 class FilterConfig:
-    debounce_on: int = 2     # consecutive in-contact samples before augmenting
-    debounce_off: int = 2    # consecutive off-contact samples before dropping
     sigma_fk: float = 0.01   # empirical FK position noise [m]
     fk_covariance_mode: str = "empirical"   # "empirical" | "jacobian"
 
     def __post_init__(self):
-        if self.debounce_on < 1 or self.debounce_off < 1:
-            raise ValueError("debounce counts must be >= 1")
         if self.fk_covariance_mode not in ("empirical", "jacobian"):
             raise ValueError("fk_covariance_mode must be 'empirical' or 'jacobian'")
         if not 0.0 < self.sigma_fk < math.inf:
@@ -496,6 +492,9 @@ class FilterConfig:
 
 # Shape solves and FK Jacobians use the default solver settings.
 SHAPE_SOLVER = shape.ShapeSolverConfig()
+
+# Consecutive equal flags that latch a contact on, or drop it.
+DEBOUNCE = 2
 
 
 class ContactAidedFilter:
@@ -516,8 +515,7 @@ class ContactAidedFilter:
         self.t_start = state.timestamp
         self.shape = None
         self._shape_fresh = False
-        self._on = [0] * 6
-        self._off = [0] * 6
+        self._runs = [0] * 6
         self._fk_covs = None      # FK covariance of all six endcaps for self.shape
         self.corrections = []     # CorrectionInfo log (most recent step)
         self.solver_failures = 0
@@ -564,8 +562,7 @@ class ContactAidedFilter:
             cfg = self.config
             covs = (cfg.sigma_fk**2 * _EYE3,) * 6
             if cfg.fk_covariance_mode == "jacobian":
-                meas = CableMeasurements.from_vector(
-                    self.shape.timestamp, self.shape.cable_lengths())
+                meas = CableMeasurements(self.shape.timestamp, self.shape.cable_lengths())
                 try:
                     J = shape.J_p(meas, range(6), SHAPE_SOLVER, prior=self.shape)
                     covs = [j @ (SIGMA_CABLE**2 * np.eye(9)) @ j.T for j in J]
@@ -592,21 +589,15 @@ class ContactAidedFilter:
     def process_contacts(self, contacts: ContactVector):
         """Debounce contact flags and augment/marginalize on clean edges."""
         for endcap, flag in enumerate(contacts.flags):
-            if flag:
-                self._on[endcap] += 1
-                self._off[endcap] = 0
-                if (self._on[endcap] >= self.config.debounce_on
-                        and endcap not in self.state.active_contacts
-                        and self.shape is not None):
+            # the endcap's run of equal flags: > 0 in contact, < 0 off contact
+            run = self._runs[endcap]
+            run = self._runs[endcap] = max(run, 0) + 1 if flag else min(run, 0) - 1
+            if run >= DEBOUNCE:
+                if endcap not in self.state.active_contacts and self.shape is not None:
                     self.state = augment_contact(
-                        self.state, endcap, self.shape,
-                        self._fk_covariance(endcap))
-            else:
-                self._off[endcap] += 1
-                self._on[endcap] = 0
-                if (self._off[endcap] >= self.config.debounce_off
-                        and endcap in self.state.active_contacts):
-                    self.state = marginalize_contact(self.state, endcap)
+                        self.state, endcap, self.shape, self._fk_covariance(endcap))
+            elif run <= -DEBOUNCE and endcap in self.state.active_contacts:
+                self.state = marginalize_contact(self.state, endcap)
 
     def process_imu(self, imu: ImuSample):
         """Propagate to the IMU timestamp, then apply pending corrections."""

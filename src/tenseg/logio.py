@@ -9,6 +9,9 @@ write/read round trip is bit-exact.
     {"t": 0.01, "type": "cable", "l": {"0-4": 1.2, ...}}
     {"t": 0.01, "type": "contact", "c": [true, false, ...]}
 
+A cable record's "l" needs exactly the "i-j" keys of the pairs (i, j) in
+shape.CABLE_PAIRS, in any order ("4-0" is not "0-4").
+
 Trajectories use the TUM format: one "t x y z qx qy qz qw" line per
 pose.  Configs are flat "key = value" lines with '#' comments.
 """
@@ -64,6 +67,21 @@ def _finite3(v, name):
     return np.array(v, dtype=float)
 
 
+def _cable_vector(by_key):
+    """A cable record's lengths in CABLE_PAIRS order."""
+    if not isinstance(by_key, dict):
+        raise ValueError("cable lengths must be a JSON object")
+    by_pair = {}
+    for key, val in by_key.items():
+        i, j = key.split("-")
+        by_pair[int(i), int(j)] = _number(val, "cable length")
+    expected = set(CABLE_PAIRS)
+    if by_pair.keys() != expected:
+        raise ValueError(f"cable set mismatch: missing {sorted(expected - by_pair.keys())}, "
+                         f"unexpected {sorted(by_pair.keys() - expected)}")
+    return [by_pair[p] for p in CABLE_PAIRS]
+
+
 def write_sensor_log(path, imu, cables, contacts, seed, config=None):
     """Merge sensor streams into one time-ordered JSONL file.
 
@@ -74,8 +92,8 @@ def write_sensor_log(path, imu, cables, contacts, seed, config=None):
     num = _json_float
     records = []
     for c in cables:
-        lengths = ", ".join(f'"{i}-{j}": {num(c.lengths[(i, j)])}'
-                            for i, j in CABLE_PAIRS)
+        lengths = ", ".join(f'"{i}-{j}": {num(v)}'
+                            for (i, j), v in zip(CABLE_PAIRS, c.lengths.tolist()))
         records.append((c.timestamp, 0, f'{{"t": {num(c.timestamp)}, '
                         f'"type": "cable", "l": {{{lengths}}}}}\n'))
     for c in contacts:
@@ -144,14 +162,7 @@ def read_sensor_log(path):
                         t, _finite3(rec["a"], "accel"),
                         _finite3(rec["w"], "gyro")))
                 elif kind == "cable":
-                    if not isinstance(rec["l"], dict):
-                        raise ValueError("cable lengths must be a JSON object")
-                    lengths = {}
-                    for key, val in rec["l"].items():
-                        i, j = key.split("-")
-                        lengths[(int(i), int(j))] = _number(val,
-                                                            "cable length")
-                    events.append(CableMeasurements(t, lengths))
+                    events.append(CableMeasurements(t, _cable_vector(rec["l"])))
                 elif kind == "contact":
                     c = rec["c"]
                     if type(c) is not list or len(c) != 6 or \

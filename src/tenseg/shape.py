@@ -35,8 +35,8 @@ CABLE_PAIRS = ((0, 4), (0, 2), (2, 4),
 _PAIR_I = np.array([p[0] for p in CABLE_PAIRS])
 _PAIR_J = np.array([p[1] for p in CABLE_PAIRS])
 
-# Triangles among the side cables; used for the measurement sanity check.
-_TRIANGLES = (((0, 2), (2, 4), (0, 4)), ((1, 3), (3, 5), (1, 5)))
+# Side-cable triangles, as CABLE_PAIRS indices, for the measurement check.
+_TRIANGLES = ((1, 2, 0), (4, 5, 3))
 
 # Gravity in the world frame (z up), shared by the simulator and the filter.
 GRAVITY_MAG = 9.81
@@ -70,27 +70,25 @@ class JacobianUnavailable(ShapeError):
 
 @dataclass(frozen=True)
 class CableMeasurements:
-    """Nine measured cable lengths [m], keyed by endcap pair."""
+    """Nine measured cable lengths [m], a read-only (9,) array in CABLE_PAIRS order."""
 
     timestamp: float
-    lengths: dict
+    lengths: np.ndarray
 
     def __post_init__(self):
-        keys = set(self.lengths)
-        expected = set(CABLE_PAIRS)
-        if keys != expected:
-            raise ValueError(
-                f"cable set mismatch: missing {sorted(expected - keys)}, "
-                f"unexpected {sorted(keys - expected)}"
-            )
+        lengths = np.array(self.lengths, dtype=float)
+        if lengths.shape != (9,):
+            raise ValueError(f"cable lengths must be a (9,) vector, got shape {lengths.shape}")
+        lengths.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
 
+    # as_vector and from_vector are kept only because perfbench/checks.py calls them.
     def as_vector(self):
-        """Lengths ordered like CABLE_PAIRS."""
-        return np.array([self.lengths[p] for p in CABLE_PAIRS])
+        return self.lengths
 
-    @staticmethod
-    def from_vector(timestamp, vec):
-        return CableMeasurements(timestamp, dict(zip(CABLE_PAIRS, map(float, vec))))
+    @classmethod
+    def from_vector(cls, timestamp, vec):
+        return cls(timestamp, vec)
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,9 @@ class ShapeSolverConfig:
     fd_step: float = 1e-4               # J_p central-difference step [m]
 
     def __post_init__(self):
-        if self.L_rod <= 0 or self.rod_tol <= 0 or self.inequality_margin <= 0:
-            raise ValueError("L_rod, rod_tol, inequality_margin must be positive")
+        for name in ("L_rod", "rod_tol", "inequality_margin"):
+            if not 0.0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         # Derived once per config: the endcaps with q0, q1 pinned, as every
         # iterate holds them, and the base rod's length error there.
         q = np.zeros((6, 3))
@@ -463,14 +462,12 @@ def check_constraints(shape: RobotShape, cfg: ShapeSolverConfig) -> ConstraintRe
 # Solver
 
 
-def _check_triangles(lengths_by_pair, tol):
+def _check_triangles(ls, tol):
     for tri in _TRIANGLES:
-        ls = [lengths_by_pair[p] for p in tri]
-        for k in range(3):
-            if ls[k] > ls[(k + 1) % 3] + ls[(k + 2) % 3] + tol:
-                raise MeasurementRejected(
-                    f"cable triple {tri} violates the triangle inequality: {ls}"
-                )
+        a, b, c = t = [ls[k] for k in tri]
+        if a > b + c + tol or b > c + a + tol or c > a + b + tol:
+            raise MeasurementRejected(f"cable triple {tuple(CABLE_PAIRS[k] for k in tri)} "
+                                      f"violates the triangle inequality: {t}")
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -717,12 +714,13 @@ def reconstruct_shape(meas: CableMeasurements, prior: RobotShape | None,
 
 
 def _reconstruct_once(meas, prior, cfg):
+    lengths = meas.lengths
+    ls = lengths.tolist()     # the checks run on Python floats
     longest = 2.0 * cfg.L_rod
-    for p, l in meas.lengths.items():
+    for p, l in zip(CABLE_PAIRS, ls):
         if not (0.0 < l < longest):
             raise MeasurementRejected(f"cable {p} length {l} outside (0, 2*L_rod)")
-    _check_triangles(meas.lengths, cfg.triangle_tol)
-    lengths = meas.as_vector()
+    _check_triangles(ls, cfg.triangle_tol)
 
     if prior is None:
         x = canonical_prism(cfg)[2:].ravel()
@@ -834,16 +832,15 @@ def J_p(meas: CableMeasurements, contact_endcap, cfg: ShapeSolverConfig,
     for e in ids:
         _check_endcap_id(e)
     nominal = reconstruct_shape(meas, prior, cfg)
-    vec = meas.as_vector()
     J = np.zeros((6, 3, 9))
     for k in range(9):
         ends = []
         for sgn in (+1.0, -1.0):
-            pert = vec.copy()
+            pert = meas.lengths.copy()
             pert[k] += sgn * cfg.fd_step
             try:
                 s = reconstruct_shape(
-                    CableMeasurements.from_vector(meas.timestamp, pert), nominal, cfg)
+                    CableMeasurements(meas.timestamp, pert), nominal, cfg)
             except ShapeError as e:
                 raise JacobianUnavailable(
                     f"perturbed solve failed for cable {CABLE_PAIRS[k]}: {e}") from e

@@ -370,9 +370,8 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     imu = tuple(map(make, (k[1:] * dt).tolist(), accel, gyro))
 
     lengths = RobotShape(0.0, q).cable_lengths()
-    cables = tuple(
-        CableMeasurements.from_vector(j / cfg.cable_rate, lengths)
-        for j in range(int(round(t_end * cfg.cable_rate)) + 1))
+    cables = tuple(CableMeasurements(j / cfg.cable_rate, lengths)
+                   for j in range(int(round(t_end * cfg.cable_rate)) + 1))
 
     tc = np.arange(int(round(t_end * CONTACT_RATE)) + 1) / CONTACT_RATE
     Rc, pc, _, _ = _poses(segs, tc)
@@ -417,9 +416,8 @@ def corrupt(sim: SimOutput, seed=0, cable_noise=0.0, chatter=0.0) -> SimOutput:
     cables = sim.cables
     if cable_noise > 0.0:
         draws = rng.normal(scale=cable_noise, size=(len(cables), 9))
-        cables = tuple(
-            CableMeasurements.from_vector(c.timestamp, c.as_vector() + d)
-            for c, d in zip(sim.cables, draws))
+        cables = tuple(CableMeasurements(c.timestamp, c.lengths + d)
+                       for c, d in zip(sim.cables, draws))
 
     contacts = sim.contacts
     if chatter > 0.0:

@@ -169,7 +169,7 @@ def test_criterion_4d_chirality(capsys):
             continue
         vec = RobotShape(0.0, q).cable_lengths() + rng.normal(scale=0.005,
                                                               size=9)
-        sol = reconstruct_shape(CableMeasurements.from_vector(0.0, vec),
+        sol = reconstruct_shape(CableMeasurements(0.0, vec),
                                 prior, cfg)
         if not check_constraints(sol, cfg).passed:
             mirrors += 1

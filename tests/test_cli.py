@@ -38,7 +38,7 @@ def write_lines(path, lines):
 def sample_streams():
     imu = [ImuSample(0.005 * k, RNG.normal(size=3), RNG.normal(size=3))
            for k in range(1, 5)]
-    cables = [CableMeasurements.from_vector(0.01 * k, 1.0 + 0.1 * RNG.random(9))
+    cables = [CableMeasurements(0.01 * k, 1.0 + 0.1 * RNG.random(9))
               for k in range(3)]
     contacts = [ContactVector(0.01 * k, tuple(RNG.random(6) < 0.5))
                 for k in range(3)]
@@ -61,7 +61,7 @@ def test_sensor_log_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(a.accel, b.accel)
         np.testing.assert_array_equal(a.gyro, b.gyro)
     for a, b in zip(cables, got_cab):
-        np.testing.assert_array_equal(a.as_vector(), b.as_vector())
+        np.testing.assert_array_equal(a.lengths, b.lengths)
     for a, b in zip(contacts, got_con):
         assert a.flags == b.flags
 
@@ -296,6 +296,16 @@ def test_estimate_deterministic(tmp_path):
 def test_unknown_config_key_is_config_error(tmp_path):
     path = tmp_path / "bad.cfg"
     write_lines(path, ["warp_speed = 9"])
+    code = main(["simulate", "--out-dir", str(tmp_path / "x"),
+                 "--config", str(path), "--log-level", "ERROR"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("key", ["debounce_on", "debounce_off"])
+def test_debounce_keys_are_unknown(tmp_path, key):
+    # the debounce count is the constant tenseg.inekf.DEBOUNCE
+    path = tmp_path / "old.cfg"
+    write_lines(path, [f"{key} = 2"])
     code = main(["simulate", "--out-dir", str(tmp_path / "x"),
                  "--config", str(path), "--log-level", "ERROR"])
     assert code == 2

@@ -475,7 +475,7 @@ def test_long_mixed_run_stays_psd():
 
 
 def stance_cables(t=0.0):
-    return CableMeasurements.from_vector(t, RobotShape(t, Q_STANCE).cable_lengths())
+    return CableMeasurements(t, RobotShape(t, Q_STANCE).cable_lengths())
 
 
 def stance_log(flags, n):
@@ -559,7 +559,7 @@ def test_driver_keeps_stale_shape_on_bad_measurement():
     f.process_cables(stance_cables())
     good = f.shape
     bad = np.full(9, 3.5)  # beyond the geometric range, rejected up front
-    f.process_cables(CableMeasurements.from_vector(DT, bad))
+    f.process_cables(CableMeasurements(DT, bad))
     assert f.shape is good
     assert f.solver_failures == 1
 

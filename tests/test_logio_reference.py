@@ -32,7 +32,13 @@ from tenseg.logio import (
     write_sensor_log,
     write_trajectory,
 )
-from tenseg.shape import CABLE_PAIRS, CableMeasurements
+from tenseg.shape import (
+    CABLE_PAIRS,
+    CableMeasurements,
+    MeasurementRejected,
+    ShapeSolverConfig,
+    reconstruct_shape,
+)
 from tenseg.simulator import SimConfig, SimOutput, corrupt, generate
 
 
@@ -104,9 +110,10 @@ def ref_read_trajectory(path):
 def ref_write_sensor_log(path, imu, cables, contacts, seed, config=None):
     records = []
     for c in cables:
+        lengths_by_pair = dict(zip(CABLE_PAIRS, c.lengths.tolist()))
         records.append((c.timestamp, 0, {
             "t": c.timestamp, "type": "cable",
-            "l": {f"{i}-{j}": c.lengths[(i, j)] for i, j in CABLE_PAIRS}}))
+            "l": {f"{i}-{j}": lengths_by_pair[i, j] for i, j in CABLE_PAIRS}}))
     for c in contacts:
         records.append((c.timestamp, 1, {
             "t": c.timestamp, "type": "contact", "c": list(c.flags)}))
@@ -121,6 +128,19 @@ def ref_write_sensor_log(path, imu, cables, contacts, seed, config=None):
         f.write(json.dumps(header) + "\n")
         for _, _, rec in records:
             f.write(json.dumps(rec) + "\n")
+
+
+def cable_frame(t, lengths_by_pair):
+    """The frame of lengths keyed by endcap pair, refused with the message
+    the keyed frame type gave unless the keys are exactly CABLE_PAIRS."""
+    keys = set(lengths_by_pair)
+    expected = set(CABLE_PAIRS)
+    if keys != expected:
+        raise ValueError(
+            f"cable set mismatch: missing {sorted(expected - keys)}, "
+            f"unexpected {sorted(keys - expected)}"
+        )
+    return CableMeasurements(t, [lengths_by_pair[p] for p in CABLE_PAIRS])
 
 
 def ref_read_sensor_log(path):
@@ -155,11 +175,11 @@ def ref_read_sensor_log(path):
                     events.append(ImuSample(t, np.array(rec["a"], dtype=float),
                                             np.array(rec["w"], dtype=float)))
                 elif kind == "cable":
-                    lengths = {}
+                    lengths_by_pair = {}
                     for key, val in rec["l"].items():
                         i, j = key.split("-")
-                        lengths[(int(i), int(j))] = float(val)
-                    events.append(CableMeasurements(t, lengths))
+                        lengths_by_pair[int(i), int(j)] = float(val)
+                    events.append(cable_frame(t, lengths_by_pair))
                 elif kind == "contact":
                     events.append(ContactVector(t, rec["c"]))
                 else:
@@ -191,9 +211,9 @@ def ref_corrupt(sim, seed=0, cable_noise=0.0, chatter=0.0):
     cables = sim.cables
     if cable_noise > 0.0:
         cables = tuple(
-            CableMeasurements.from_vector(
+            CableMeasurements(
                 c.timestamp,
-                c.as_vector() + rng.normal(scale=cable_noise, size=9))
+                c.lengths + rng.normal(scale=cable_noise, size=9))
             for c in sim.cables)
     contacts = sim.contacts
     if chatter > 0.0:
@@ -230,8 +250,8 @@ def assert_same_events(got, want):
             assert bits(g.gyro) == bits(w.gyro)
             assert not g.accel.flags.writeable and not g.gyro.flags.writeable
         elif isinstance(g, CableMeasurements):
-            assert list(g.lengths) == list(w.lengths)
-            assert bits(list(g.lengths.values())) == bits(list(w.lengths.values()))
+            assert bits(g.lengths) == bits(w.lengths)
+            assert not g.lengths.flags.writeable
         else:
             assert g.flags == w.flags
 
@@ -362,11 +382,10 @@ def streams(rng, n=400):
     imu[1] = ImuSample(0.01, np.array([-0.0, 0.0, 0.0]), [1, 2, 3])
     lengths = rng.uniform(0.5, 1.5, size=(n // 2, 9))
     lengths[0] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1.0, 2.0, 3.0]
-    cables = [CableMeasurements.from_vector(t, v)
+    cables = [CableMeasurements(t, v)
               for t, v in zip((np.arange(n // 2) * 0.01).tolist(), lengths)]
-    cables[1] = CableMeasurements(np.float64(0.01), {
-        p: np.float64(v) for p, v in zip(CABLE_PAIRS, lengths[1])})
-    cables[2] = CableMeasurements(0.02, {p: k for k, p in enumerate(CABLE_PAIRS)})
+    cables[1] = CableMeasurements(np.float64(0.01), lengths[1])
+    cables[2] = CableMeasurements(0.02, range(9))   # stored as floats
     contacts = [ContactVector(t, rng.random(6) < 0.5)
                 for t in (np.arange(n // 2) * 0.01).tolist()]
     contacts[3] = ContactVector(np.float64(0.03), (1, 0, 0, 1, 1, 0))
@@ -485,6 +504,13 @@ BAD_LOGS = [
     ([HEADER, '{"t": 0.1, "type": "imu", "a": [0, 0, 9.81], '
       '"w": [0, true, 0]}'],
      ":2: invalid record (gyro must be a finite 3-vector)", False),
+    # cable keys naming a reversed or an extra pair
+    ([HEADER, CABLE.replace('"0-4"', '"4-0"')],
+     ":2: invalid record (cable set mismatch: missing [(0, 4)], "
+     "unexpected [(4, 0)])", True),
+    ([HEADER, CABLE.replace('"0-4": 1.0', '"0-4": 1.0, "0-1": 1.0')],
+     ":2: invalid record (cable set mismatch: missing [], "
+     "unexpected [(0, 1)])", True),
 ]
 
 
@@ -507,6 +533,42 @@ def test_bad_contact_flags_exit_2(tmp_path):
         HEADER, IMU, '{"t": 0.2, "type": "contact", "c": "tfffff"}')))
     assert main(["estimate", "--out-dir", str(tmp_path), "--sensors",
                  str(path), "--log-level", "ERROR"]) == 2
+
+
+def test_reversed_cable_pair_exits_2(tmp_path):
+    path = tmp_path / "sensors.jsonl"
+    path.write_text("".join(line + "\n" for line in (
+        HEADER, IMU, CABLE.replace("0.1", "0.2", 1).replace('"0-4"', '"4-0"'))))
+    assert main(["estimate", "--out-dir", str(tmp_path), "--sensors",
+                 str(path), "--log-level", "ERROR"]) == 2
+
+
+def test_cable_keys_in_any_order_read_as_pair_ordered_vector(tmp_path):
+    values = np.random.default_rng(5).uniform(0.5, 1.5, size=9).tolist()
+    by_key = {f"{i}-{j}": v for (i, j), v in zip(CABLE_PAIRS, values)}
+    keys = sorted(by_key, reverse=True)
+    assert keys != list(by_key)
+    # "00-4" names the pair (0, 4) too; the later key wins
+    record = {"t": 0.1, "type": "cable",
+              "l": {"00-4": 5.0, **{k: by_key[k] for k in keys}}}
+    path = tmp_path / "sensors.jsonl"
+    path.write_text(f"{HEADER}\n{json.dumps(record)}\n")
+    (meas,) = read_sensor_log(path)[1]
+    assert meas.lengths.tolist() == values
+    assert not meas.lengths.flags.writeable
+
+
+def test_first_bad_cable_of_a_record_is_named_in_pair_order(tmp_path):
+    # keys in reverse CABLE_PAIRS order, (0, 3) and (1, 5) out of range
+    lengths = {f"{i}-{j}": 1.0 for i, j in reversed(CABLE_PAIRS)}
+    lengths["0-3"] = lengths["1-5"] = 3.5
+    path = tmp_path / "sensors.jsonl"
+    path.write_text(f"{HEADER}\n"
+                    + json.dumps({"t": 0.1, "type": "cable", "l": lengths}) + "\n")
+    (meas,) = read_sensor_log(path)[1]
+    with pytest.raises(MeasurementRejected,
+                       match=r"^cable \(1, 5\) length 3.5 outside \(0, 2\*L_rod\)$"):
+        reconstruct_shape(meas, None, ShapeSolverConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _inequality_values_grads(q):
 
 
 def measurement_of(q, t=0.0):
-    return CableMeasurements.from_vector(t, RobotShape(t, q).cable_lengths())
+    return CableMeasurements(t, RobotShape(t, q).cable_lengths())
 
 
 def random_feasible_shape(rng, scale=0.05):
@@ -86,17 +86,39 @@ def mirrored(q):
 # CableMeasurements / RobotShape types
 
 
-def test_cable_set_must_be_complete():
-    lengths = {p: 1.0 for p in CABLE_PAIRS[:-1]}
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("lengths", [np.ones(8), np.ones(10), np.ones((3, 3)),
+                                     1.0, [[1.0] * 9]])
+def test_cable_vector_must_have_nine_entries(lengths):
+    with pytest.raises(ValueError, match="cable lengths must be a \\(9,\\) vector"):
         CableMeasurements(0.0, lengths)
+
+
+def test_cable_lengths_are_a_read_only_float_copy():
+    src = np.arange(1.0, 10.0)
+    meas = CableMeasurements(0.5, src)
+    src[0] = 7.0
+    assert meas.lengths.tolist() == [float(k) for k in range(1, 10)]
+    assert not meas.lengths.flags.writeable
+    with pytest.raises(ValueError):
+        meas.lengths[0] = 2.0
+    # the compatibility spellings: the constructor and the stored array
+    alias = CableMeasurements.from_vector(0.5, range(1, 10))
+    assert alias.lengths.dtype == np.float64 and alias.as_vector() is alias.lengths
+    assert alias.lengths.tolist() == meas.lengths.tolist()
+
+
+@pytest.mark.parametrize("field", ["L_rod", "rod_tol", "inequality_margin"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_solver_config_refuses_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        ShapeSolverConfig(**{field: value})
 
 
 def test_length_out_of_range_rejected():
     vec = np.full(9, 1.0)
     vec[0] = 3.5  # > 2 * L_rod
     with pytest.raises(MeasurementRejected):
-        reconstruct_shape(CableMeasurements.from_vector(0.0, vec), None, CFG)
+        reconstruct_shape(CableMeasurements(0.0, vec), None, CFG)
 
 
 def test_triangle_violation_rejected():
@@ -105,7 +127,7 @@ def test_triangle_violation_rejected():
     # stretch one top side cable far beyond the sum of the other two
     vec[0] = vec[1] + vec[2] + 0.1
     with pytest.raises(MeasurementRejected):
-        reconstruct_shape(CableMeasurements.from_vector(0.0, vec), None, CFG)
+        reconstruct_shape(CableMeasurements(0.0, vec), None, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +155,7 @@ def test_cold_solve_reproduces_cable_distances():
         assert check_constraints(RobotShape(0.0, q_true), CFG).passed
         meas = measurement_of(q_true)
         sol = reconstruct_shape(meas, None, CFG)
-        np.testing.assert_allclose(sol.cable_lengths(), meas.as_vector(), atol=1e-6)
+        np.testing.assert_allclose(sol.cable_lengths(), meas.lengths, atol=1e-6)
         assert check_constraints(sol, CFG).passed
 
 
@@ -181,7 +203,7 @@ def test_objective_not_worse_than_warm_start():
     prior = reconstruct_shape(measurement_of(q_true), None, CFG)
     for _ in range(10):
         vec = truth_vec + rng.normal(scale=0.01, size=9)
-        sol = reconstruct_shape(CableMeasurements.from_vector(0.0, vec), prior, CFG)
+        sol = reconstruct_shape(CableMeasurements(0.0, vec), prior, CFG)
         start_obj = np.sum((prior.cable_lengths() - vec) ** 2)
         assert sol.residual <= start_obj + 1e-12
         prior = sol
@@ -193,7 +215,7 @@ def test_noisy_measurements_stay_feasible():
     prior = None
     for _ in range(50):
         vec = truth_vec + rng.normal(scale=0.01, size=9)
-        sol = reconstruct_shape(CableMeasurements.from_vector(0.0, vec), prior, CFG)
+        sol = reconstruct_shape(CableMeasurements(0.0, vec), prior, CFG)
         assert check_constraints(sol, CFG).passed
         prior = sol
 
@@ -217,10 +239,8 @@ def test_relabel_consistency():
         sol = reconstruct_shape(measurement_of(q_true), RobotShape(0.0, q_true), CFG)
         q_pred = flip(sol.q)
         assert check_constraints(RobotShape(0.0, q_pred), CFG).passed
-        perm_lengths = {
-            (i, j): float(np.linalg.norm(q_true[sigma[i]] - q_true[sigma[j]]))
-            for (i, j) in CABLE_PAIRS
-        }
+        perm_lengths = [np.linalg.norm(q_true[sigma[i]] - q_true[sigma[j]])
+                        for (i, j) in CABLE_PAIRS]
         sol_perm = reconstruct_shape(
             CableMeasurements(0.0, perm_lengths), RobotShape(0.0, q_pred), CFG)
         np.testing.assert_allclose(sol_perm.q, q_pred, atol=1e-6)
@@ -383,7 +403,7 @@ def test_J_p_predicts_displacement():
     J = J_p(meas, 3, CFG, prior=nominal)
     dl = rng.normal(size=9)
     dl *= 1e-3 / np.linalg.norm(dl)
-    pert = CableMeasurements.from_vector(0.0, meas.as_vector() + dl)
+    pert = CableMeasurements(0.0, meas.lengths + dl)
     moved = reconstruct_shape(pert, nominal, CFG)
     actual = h_p(moved, 3) - h_p(nominal, 3)
     predicted = J @ dl

@@ -46,7 +46,6 @@ from tenseg.shape import (
     _INEQ_NAMES,
     _PAIR_I,
     _PAIR_J,
-    _TRIANGLES,
     _Z_FLAT,
     _Z_GRADS,
     _Z_SIGN,
@@ -165,8 +164,11 @@ def ref_canonical_prism(cfg, radius_frac=0.35, twist=5.0 * np.pi / 6.0):
     raise ShapeSolverFailure("no chirality-feasible canonical prism found")
 
 
+REF_TRIANGLES = (((0, 2), (2, 4), (0, 4)), ((1, 3), (3, 5), (1, 5)))
+
+
 def ref_check_triangles(lengths_by_pair, tol):
-    for tri in _TRIANGLES:
+    for tri in REF_TRIANGLES:
         ls = [lengths_by_pair[p] for p in tri]
         for k in range(3):
             if ls[k] > ls[(k + 1) % 3] + ls[(k + 2) % 3] + tol:
@@ -264,11 +266,12 @@ def ref_gauss_newton_inner(it, q_fixed, lengths, cfg, lam_eq, lam_in, mu, gtol):
 
 
 def ref_reconstruct_once(meas, prior, cfg):
-    for p, l in meas.lengths.items():
+    lengths_by_pair = dict(zip(CABLE_PAIRS, meas.lengths.tolist()))
+    for p, l in lengths_by_pair.items():
         if not (0.0 < l < 2.0 * cfg.L_rod):
             raise MeasurementRejected(f"cable {p} length {l} outside (0, 2*L_rod)")
-    ref_check_triangles(meas.lengths, cfg.triangle_tol)
-    lengths = meas.as_vector()
+    ref_check_triangles(lengths_by_pair, cfg.triangle_tol)
+    lengths = np.array([lengths_by_pair[p] for p in CABLE_PAIRS])
 
     q0, q1 = base_rod_endcaps(cfg)
     q_fixed = np.zeros((6, 3))
@@ -329,7 +332,7 @@ def ref_reconstruct_shape(meas, prior, cfg):
 
 def ref_J_p(meas, ids, cfg, prior=None):
     nominal = ref_reconstruct_shape(meas, prior, cfg)
-    vec = meas.as_vector()
+    vec = meas.lengths
     J = np.zeros((6, 3, 9))
     for k in range(9):
         ends = []
@@ -338,7 +341,7 @@ def ref_J_p(meas, ids, cfg, prior=None):
             pert[k] += sgn * cfg.fd_step
             try:
                 s = ref_reconstruct_shape(
-                    CableMeasurements.from_vector(meas.timestamp, pert), nominal, cfg)
+                    CableMeasurements(meas.timestamp, pert), nominal, cfg)
             except ShapeError as e:
                 raise JacobianUnavailable(
                     f"perturbed solve failed for cable {CABLE_PAIRS[k]}: {e}") from e
@@ -460,7 +463,7 @@ def test_cold_solves_equal_reference_bitwise():
         q = base.copy()
         q[2:] += rng.normal(scale=0.04, size=(4, 3))
         vec = RobotShape(0.0, q).cable_lengths() + rng.normal(scale=0.003 * (k % 2), size=9)
-        meas = CableMeasurements.from_vector(0.1 * k, vec)
+        meas = CableMeasurements(0.1 * k, vec)
         assert_same_outcome(outcome(reconstruct_shape, meas, None, CFG),
                             outcome(ref_reconstruct_shape, meas, None, CFG))
 
@@ -513,7 +516,7 @@ def test_failures_and_rejections_equal_reference():
         vec = lengths * rng.uniform(0.7, 1.4, size=9)
         if k % 5 == 0:
             vec[k % 9] = (0.0, -0.1, 3.0, np.nan)[k // 5]
-        meas = CableMeasurements.from_vector(float(k), vec)
+        meas = CableMeasurements(float(k), vec)
         for prior in (None, stance):
             for cfg in (CFG, replace(CFG, max_iterations=3)):
                 a = outcome(reconstruct_shape, meas, prior, cfg)
@@ -521,6 +524,23 @@ def test_failures_and_rejections_equal_reference():
                 assert_same_outcome(a, b)
                 counts[type(b)] += 1
     assert min(counts.values()) >= 5, counts
+
+
+def test_triangle_rejections_equal_reference():
+    # each side cable in turn stretched past the other two of its triangle,
+    # and by less than triangle_tol, which passes
+    lengths = RobotShape(0.0, asymmetric_stance(CFG)).cable_lengths()
+    rejected = 0
+    for k in range(6):
+        for excess in (0.1, 0.5 * CFG.triangle_tol):
+            vec = lengths.copy()
+            others = [m for m in REF_TRIANGLES[k // 3] if m != CABLE_PAIRS[k]]
+            vec[k] = sum(lengths[CABLE_PAIRS.index(p)] for p in others) + excess
+            meas = CableMeasurements(0.0, vec)
+            a = outcome(reconstruct_shape, meas, None, CFG)
+            assert_same_outcome(a, outcome(ref_reconstruct_shape, meas, None, CFG))
+            rejected += isinstance(a, MeasurementRejected)
+    assert rejected == 6
 
 
 @pytest.mark.parametrize("cable_noise", [0.0, 0.002])
