@@ -40,6 +40,7 @@ from .logio import (
     read_config,
     read_sensor_log,
     read_trajectory,
+    write_errors,
     write_sensor_log,
     write_trajectory,
 )
@@ -114,19 +115,20 @@ def cmd_estimate(args, cfg):
     filt = ContactAidedFilter.calibrated(events, duration, _filter_config(cfg))
     log.info("calibrated until t = %s s; gyro bias %s",
              filt.t_start, filt.state.bias.gyro)
-    ts, ps, Rs = [], [], []
-    for imu in filt.run(events):
-        ts.append(imu.timestamp)
-        ps.append(filt.state.position)
-        Rs.append(filt.state.rotation)
+    n = filt.pose_count(events)
+    ts, ps, Rs = np.empty(n), np.empty((n, 3)), np.empty((n, 3, 3))
+    for k, imu in enumerate(filt.run(events)):
+        ts[k] = imu.timestamp
+        ps[k] = filt.state.position
+        Rs[k] = filt.state.rotation
     write_trajectory(os.path.join(args.out_dir, "estimate.tum"), ts, ps, Rs)
-    info = {"samples": len(ts), "solver_failures": filt.solver_failures,
+    info = {"samples": n, "solver_failures": filt.solver_failures,
             "active_contacts": list(filt.state.active_contacts)}
     with open(os.path.join(args.out_dir, "estimate_info.json"), "w") as f:
         json.dump(info, f, indent=2, sort_keys=True)
         f.write("\n")
     log.info("estimated %d poses (%d shape solver failures)",
-             len(ts), filt.solver_failures)
+             n, filt.solver_failures)
 
 
 def cmd_evaluate(args, cfg):
@@ -139,10 +141,8 @@ def cmd_evaluate(args, cfg):
     with open(os.path.join(args.out_dir, "metrics.json"), "w") as f:
         json.dump(report.as_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    rows = np.column_stack((report.timestamps, report.position_errors)).tolist()
-    with open(os.path.join(args.out_dir, "errors.csv"), "w") as f:
-        f.write("t,ex,ey,ez\n")
-        f.writelines(",".join(map(float.__repr__, row)) + "\n" for row in rows)
+    write_errors(os.path.join(args.out_dir, "errors.csv"),
+                 report.timestamps, report.position_errors)
     log.info("drift %.2f%% over %.2f m (RPE %.4f m/m)",
              report.drift_pct, report.path_length, report.rpe_rmse)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

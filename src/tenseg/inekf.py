@@ -45,8 +45,10 @@ class CalibrationError(FilterError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImuSample:
+    """One IMU reading; slotted, as a log holds thousands."""
+
     timestamp: float
     accel: np.ndarray   # specific force [m/s^2], body frame
     gyro: np.ndarray    # angular velocity [rad/s], body frame
@@ -62,9 +64,7 @@ class ImuSample:
     @classmethod
     def _trusted(cls, timestamp, accel, gyro):
         """Sample from fresh finite float 3-vectors the caller has checked
-        and gives up; the arrays become read-only.  Attributes are set one
-        by one, as the public constructor does, so no per-instance dict
-        is materialized for the many samples a log holds."""
+        and gives up; the arrays become read-only."""
         accel.flags.writeable = False
         gyro.flags.writeable = False
         sample = object.__new__(cls)
@@ -100,8 +100,10 @@ class ImuBias:
         return bias
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactVector:
+    """Six contact flags at one time; slotted, as a log holds thousands."""
+
     timestamp: float
     flags: tuple
 
@@ -220,6 +222,17 @@ def initial_state(rotation, bias: ImuBias, timestamp,
     )
 
 
+def _median(x):
+    """np.median of a non-empty 1-D float array, bit for bit, without the
+    numpy.ma import (about 1 MB resident) np.median makes on first use."""
+    s = np.sort(x)
+    m = s.size // 2
+    if np.isnan(s[-1]):   # the sort puts any NaN last
+        return s[-1]
+    # np.mean of the middle one or two, a sum that starts from 0.0
+    return 0.0 + s[m] if s.size % 2 else (0.0 + s[m - 1] + s[m]) / 2
+
+
 def init_bias_calibration(stationary, duration):
     """Estimate gyro/accel biases and roll/pitch from a stationary stream.
 
@@ -230,7 +243,7 @@ def init_bias_calibration(stationary, duration):
     """
     samples = [s for s in stationary if s.timestamp <= stationary[0].timestamp + duration]
     t = np.array([s.timestamp for s in samples])
-    dt = np.median(np.diff(t)) if t.size >= 2 else 0.0
+    dt = _median(np.diff(t)) if t.size >= 2 else 0.0
     # each sample reports the dt before it, so the window holds its span
     # plus dt of data; half a sample of slack absorbs timestamp rounding
     if t.size < 2 or t[-1] - t[0] + dt < 1.0 - 0.5 * dt:
@@ -550,6 +563,12 @@ class ContactAidedFilter:
                 yield e
             elif isinstance(e, ContactVector):
                 self.process_contacts(e)
+
+    def pose_count(self, events):
+        """How many IMU samples run(events) yields: those after t_start."""
+        t_start = self.t_start
+        return sum(isinstance(e, ImuSample) and e.timestamp > t_start
+                   for e in events)
 
     def _fk_covariance(self, endcap):
         """Body-frame covariance of the endcap's forward-kinematic position.

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice
 
 import numpy as np
 
 from . import __version__
 from .inekf import ContactVector, ImuSample
 from .shape import CABLE_PAIRS, CableMeasurements
+
+
+# Lines converted at a time by the TUM and CSV readers and writers
+BLOCK = 512
 
 
 class LogFormatError(Exception):
@@ -74,7 +77,10 @@ def _cable_vector(by_key):
     by_pair = {}
     for key, val in by_key.items():
         i, j = key.split("-")
-        by_pair[int(i), int(j)] = _number(val, "cable length")
+        pair = int(i), int(j)
+        if pair in by_pair:
+            raise ValueError(f"cable pair {pair} named twice")
+        by_pair[pair] = _number(val, "cable length")
     expected = set(CABLE_PAIRS)
     if by_pair.keys() != expected:
         raise ValueError(f"cable set mismatch: missing {sorted(expected - by_pair.keys())}, "
@@ -182,21 +188,35 @@ def read_sensor_log(path):
     return header, events
 
 
+def _write_rows(f, n, rows, sep):
+    """Write n rows of floats, each its floats' reprs joined by sep;
+    rows(k, m) gives rows k to m as a 2-D array.  Rows are converted a
+    block at a time, which bounds the memory the conversion adds to the
+    caller's data."""
+    for k in range(0, n, BLOCK):
+        f.writelines(sep.join(map(float.__repr__, row)) + "\n"
+                     for row in rows(k, k + BLOCK).tolist())
+
+
 def write_trajectory(path, timestamps, positions, rotations):
     """TUM format: t x y z qx qy qz qw, repr-precision floats.
 
-    Poses are converted and written a block at a time, which bounds the
-    memory the conversion adds to the caller's pose lists.
+    The three sequences (lists or arrays) hold one entry per pose.
     """
-    poses = zip(timestamps, positions, rotations)
     with open(path, "w") as f:
-        while block := list(islice(poses, 512)):
-            t, p, R = zip(*block)
-            rows = np.column_stack((
-                np.asarray(t, dtype=float), np.asarray(p, dtype=float),
-                _quat_from_matrix(np.asarray(R, dtype=float)))).tolist()
-            f.writelines(" ".join(map(float.__repr__, row)) + "\n"
-                         for row in rows)
+        _write_rows(f, len(timestamps), lambda k, m: np.column_stack((
+            np.asarray(timestamps[k:m], dtype=float),
+            np.asarray(positions[k:m], dtype=float),
+            _quat_from_matrix(np.asarray(rotations[k:m], dtype=float)))), " ")
+
+
+def write_errors(path, timestamps, errors):
+    """CSV of per-sample position errors: a "t,ex,ey,ez" header, then one
+    line of repr-precision floats per (N,) timestamp and (N, 3) error."""
+    with open(path, "w") as f:
+        f.write("t,ex,ey,ez\n")
+        _write_rows(f, len(timestamps), lambda k, m: np.column_stack(
+            (timestamps[k:m], errors[k:m])), ",")
 
 
 def _quat_from_matrix(R):
@@ -270,32 +290,46 @@ def read_trajectory(path):
 
     Blank lines and lines starting with '#' are skipped; every other
     line needs 8 numbers and a nonzero finite quaternion.  The first
-    malformed line raises LogFormatError with its line number.
+    malformed line raises LogFormatError with its line number.  Lines
+    are converted to arrays and rotations BLOCK lines at a time, so that
+    no text of the whole file is held.
     """
+    ts, ps, Rs = [], [], []
     tokens, linenos = [], []
-    error = None
+
+    def convert(error=None):
+        """Move the pending lines' values into ts, ps and Rs.  Raises the
+        first bad number or quaternion among those lines, or else error,
+        the fault of the line after them."""
+        try:
+            rows = np.array(list(map(float, tokens))).reshape(-1, 8)
+        except ValueError:
+            rows, error = _rows_before_bad_number(path, tokens, linenos)
+        # a bad quaternion on a line before `error`'s is reported first
+        Rs.append(_rotations(path, rows[:, 4:], linenos))
+        if error is not None:
+            raise error
+        ts.append(rows[:, 0].copy())
+        ps.append(rows[:, 1:4].copy())
+        tokens.clear()
+        linenos.clear()
+
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
             if not parts or parts[0][0] == "#":
                 continue
-            if len(parts) != 8:
-                error = LogFormatError(
-                    f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-                break
+            if len(parts) != 8:   # raises, at an earlier line if need be
+                convert(LogFormatError(
+                    f"{path}:{lineno}: expected 8 fields, got {len(parts)}"))
             tokens += parts
             linenos.append(lineno)
-    try:
-        vals = np.array(list(map(float, tokens))).reshape(-1, 8)
-    except ValueError:
-        vals, error = _rows_before_bad_number(path, tokens, linenos)
-    # a bad quaternion on a line before `error`'s is reported first
-    R = _rotations(path, vals[:, 4:], linenos)
-    if error is not None:
-        raise error
-    if len(vals) < 2:
+            if len(linenos) == BLOCK:
+                convert()
+    convert()
+    if sum(map(len, ts)) < 2:
         raise LogFormatError(f"{path}: trajectory needs at least two poses")
-    return vals[:, 0].copy(), vals[:, 1:4].copy(), R
+    return np.concatenate(ts), np.concatenate(ps), np.concatenate(Rs)
 
 
 def read_config(path):

@@ -68,9 +68,10 @@ class JacobianUnavailable(ShapeError):
     """A perturbed solve inside J_p failed; caller should fall back."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CableMeasurements:
-    """Nine measured cable lengths [m], a read-only (9,) array in CABLE_PAIRS order."""
+    """Nine measured cable lengths [m], a read-only (9,) array in CABLE_PAIRS
+    order; slotted, as a log holds thousands."""
 
     timestamp: float
     lengths: np.ndarray

@@ -388,8 +388,15 @@ def corrupt(sim: SimOutput, seed=0, cable_noise=0.0, chatter=0.0) -> SimOutput:
     variance matches the continuous densities the filter assumes (the
     SIGMA_* constants of tenseg.inekf); biases follow random walks
     starting at zero.  Cable noise and contact chatter (per-flag flip
-    probability) are off by default.
+    probability) are off by default.  A cable_noise that is not
+    non-negative and finite, or a chatter outside [0, 1], raises
+    ValueError.
     """
+    if not 0.0 <= cable_noise < math.inf:
+        raise ValueError("cable_noise must be non-negative and finite, "
+                         f"got {cable_noise!r}")
+    if not 0.0 <= chatter <= 1.0:
+        raise ValueError(f"chatter must be in [0, 1], got {chatter!r}")
     rng = np.random.default_rng(seed)
     n = len(sim.imu)
     dt = 1.0 / sim.config.imu_rate
@@ -410,8 +417,7 @@ def corrupt(sim: SimOutput, seed=0, cable_noise=0.0, chatter=0.0) -> SimOutput:
     # the public constructor raises the error a non-finite sample gets
     make = ImuSample._trusted if np.isfinite(accel).all() \
         and np.isfinite(gyro).all() else ImuSample
-    imu = [make(s.timestamp, a.copy(), g.copy())
-           for s, a, g in zip(sim.imu, accel, gyro)]
+    imu = [make(s.timestamp, a, g) for s, a, g in zip(sim.imu, accel, gyro)]
 
     cables = sim.cables
     if cable_noise > 0.0:

@@ -373,3 +373,19 @@ def test_bad_target_length_is_config_error(tmp_path, length):
                      "--log-level", "ERROR"])
         assert code == 2
         assert not (out / "sensors.jsonl").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("cable_noise", "nan"), ("cable_noise", "-0.01"), ("cable_noise", "inf"),
+    ("chatter", "1.5"), ("chatter", "-1"), ("chatter", "nan")])
+def test_bad_noise_setting_is_input_error(tmp_path, caplog, key, value):
+    # simulate once wrote exact cables for NaN or negative noise, and
+    # flipped every contact flag for chatter = 1.5
+    path = tmp_path / "bad.cfg"
+    write_lines(path, ["target_length = 1.0", f"{key} = {value}"])
+    out = tmp_path / "run"
+    code = main(["simulate", "--out-dir", str(out), "--config", str(path),
+                 "--log-level", "ERROR"])
+    assert code == 2
+    assert f"{key} must be" in caplog.text
+    assert not (out / "sensors.jsonl").exists()

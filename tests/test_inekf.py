@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import tenseg.shape
+from tenseg import inekf
 from tenseg.inekf import (
     CHI2_GATE_3DOF,
     SIGMA_ACCEL,
@@ -133,6 +134,24 @@ def test_calibration_accepts_one_second_window():
             np.testing.assert_allclose(R0, np.eye(3), atol=1e-12)
     with pytest.raises(CalibrationError):
         init_bias_calibration(samples[:199], 1.0)
+
+
+def test_calibration_median_matches_numpy_bitwise():
+    # the median of the sample spacing, taken without np.median's numpy.ma
+    # import: the same bits and type as np.median, zeros' signs and NaN too
+    rng = np.random.default_rng(8)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324]
+    for n in (*range(1, 12), 400, 401):
+        for trial in range(40):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300)
+            if trial % 2:
+                mask = rng.random(n) < 0.5
+                x[mask] = rng.choice(specials, size=mask.sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                want, got = np.median(x), inekf._median(x)
+            assert type(got) is type(want)
+            assert np.array(got).tobytes() == np.array(want).tobytes() or \
+                (np.isnan(got) and np.isnan(want))
 
 
 def test_chi2_gate_is_the_999_quantile():
@@ -539,6 +558,7 @@ def test_driver_warms_shape_until_calibration_end_then_follows_log_order(
         monkeypatch.setattr(ContactAidedFilter, "process_" + name, recorded)
     f = ContactAidedFilter.calibrated(events, 1.0)
     assert f.t_start == t_end
+    assert f.pose_count(events) == 59   # the samples run yields below
     steps = f.run(events)
     assert next(steps).timestamp == t1
     # up to t_end only cable frames count, and they warm the shape; after

@@ -26,6 +26,7 @@ from tenseg.inekf import (
 )
 from tenseg.liegroup import so3_exp
 from tenseg.logio import (
+    BLOCK,
     LogFormatError,
     read_sensor_log,
     read_trajectory,
@@ -300,6 +301,9 @@ def test_write_trajectory_matches_reference(tmp_path):
     cases = [(ts, list(ps), ROTATIONS),
              (np.array(ts), ps, np.array(ROTATIONS)),
              ([], [], [])]
+    # exactly one block, and one block plus one line
+    cases += [(np.array(ts[:n]), ps[:n], np.array(ROTATIONS[:n]))
+              for n in (BLOCK, BLOCK + 1)]
     for k, (t, p, R) in enumerate(cases):
         ours, ref = tmp_path / f"ours{k}.tum", tmp_path / f"ref{k}.tum"
         write_trajectory(ours, t, p, R)
@@ -325,6 +329,26 @@ def test_read_trajectory_matches_reference(tmp_path):
               "2003 +1 -2 .5 1e-150 0 0 1e-150", "2004 1 1 1 0 0 1e150 0"]
     path.write_text("\n".join(lines) + "\n")
     assert_same_arrays(read_trajectory(path), ref_read_trajectory(path))
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_read_trajectory_block_edges_match_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    path = tmp_path / "edge.tum"
+    ref_write_trajectory(path, np.arange(n) * 0.005, rng.normal(size=(n, 3)),
+                         ROTATIONS[:n])
+    assert_same_arrays(read_trajectory(path), ref_read_trajectory(path))
+    # comment and blank lines on both sides of the block edge
+    lines = path.read_text().splitlines()
+    lines[BLOCK - 2:BLOCK - 2] = ["# before the edge", "", "   "]
+    lines[BLOCK + 2:BLOCK + 2] = ["#", "\t", "# after the edge"]
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_arrays(read_trajectory(path), ref_read_trajectory(path))
+
+
+def good_poses(n):
+    """n well-formed TUM lines."""
+    return [f"{0.01 * k} 1 2 3 0 0 0 1" for k in range(n)]
 
 
 # (lines, expected message without the path prefix)
@@ -355,6 +379,36 @@ BAD_TRAJECTORIES = [
     (["0 1 2 3 0 0 0 1"], ": trajectory needs at least two poses"),
     (["# only a comment", ""], ": trajectory needs at least two poses"),
     (["0 1 2 3 0 0 0 0"], ":1: bad number (quaternion is zero or not finite)"),
+    # past the first block of BLOCK = 512 lines
+    (good_poses(599) + ["9 1 x 3 0 0 0 1"],
+     ":600: bad number (could not convert string to float: 'x')"),
+    (good_poses(700) + ["9 1 2"], ":701: expected 8 fields, got 3"),
+    (good_poses(700) + ["9 1 2 3 0 0 0 1 9"], ":701: expected 8 fields, got 9"),
+    (good_poses(513) + ["9 1 2 3 0 0 0 0"],
+     ":514: bad number (quaternion is zero or not finite)"),
+    (good_poses(1024) + ["9 1 2 3 nan 0 0 1"],
+     ":1025: bad number (quaternion is zero or not finite)"),
+    # a bad quaternion in an earlier block than a later line's other fault
+    (good_poses(100) + ["9 1 2 3 0 0 0 0"] + good_poses(600) + ["9 1 2"],
+     ":101: bad number (quaternion is zero or not finite)"),
+    (good_poses(100) + ["9 1 2 3 0 0 0 0"] + good_poses(600)
+     + ["9 y 2 3 0 0 0 1"],
+     ":101: bad number (quaternion is zero or not finite)"),
+    # faults on the last line of a block and the first line of the next
+    (good_poses(511) + ["9 1 2 3 0 0 0 0", "9 1 2"],
+     ":512: bad number (quaternion is zero or not finite)"),
+    (good_poses(512) + ["9 1 2 3 0 0 0 0", "9 1 2"],
+     ":513: bad number (quaternion is zero or not finite)"),
+    (good_poses(511) + ["9 1 2", "9 1 2 3 0 0 0 0"],
+     ":512: expected 8 fields, got 3"),
+    (good_poses(512) + ["9 1 z 3 0 0 0 1", "9 1 2 3 0 0 0 0"],
+     ":513: bad number (could not convert string to float: 'z')"),
+    # comment and blank lines across a block edge shift the line numbers
+    (good_poses(300) + ["# c", "", "  "] + good_poses(300)
+     + ["9 1 2 3 0 0 0 0"],
+     ":604: bad number (quaternion is zero or not finite)"),
+    (good_poses(511) + ["# c", "", "#"] + good_poses(1) + ["9 1 2"],
+     ":516: expected 8 fields, got 3"),
 ]
 
 
@@ -511,6 +565,11 @@ BAD_LOGS = [
     ([HEADER, CABLE.replace('"0-4": 1.0', '"0-4": 1.0, "0-1": 1.0')],
      ":2: invalid record (cable set mismatch: missing [], "
      "unexpected [(0, 1)])", True),
+    # "00-4" names the pair (0, 4) too; the reference kept the later value
+    ([HEADER, CABLE.replace('"0-4": 1.0', '"00-4": 5.0, "0-4": 1.0')],
+     ":2: invalid record (cable pair (0, 4) named twice)", False),
+    ([HEADER, IMU, CABLE.replace('"2-5": 1.0', '"2-5": 1.0, "2-05": 1.0')],
+     ":3: invalid record (cable pair (2, 5) named twice)", False),
 ]
 
 
@@ -548,9 +607,7 @@ def test_cable_keys_in_any_order_read_as_pair_ordered_vector(tmp_path):
     by_key = {f"{i}-{j}": v for (i, j), v in zip(CABLE_PAIRS, values)}
     keys = sorted(by_key, reverse=True)
     assert keys != list(by_key)
-    # "00-4" names the pair (0, 4) too; the later key wins
-    record = {"t": 0.1, "type": "cable",
-              "l": {"00-4": 5.0, **{k: by_key[k] for k in keys}}}
+    record = {"t": 0.1, "type": "cable", "l": {k: by_key[k] for k in keys}}
     path = tmp_path / "sensors.jsonl"
     path.write_text(f"{HEADER}\n{json.dumps(record)}\n")
     (meas,) = read_sensor_log(path)[1]
@@ -610,27 +667,31 @@ def test_corrupt_non_finite_sample_raises_as_reference(short_sim):
 
 
 def test_errors_csv_matches_reference(tmp_path):
-    rng = np.random.default_rng(31)
-    n = 600
-    t = np.arange(n) * 0.01
-    truth = np.cumsum(rng.normal(scale=0.01, size=(n, 3)), axis=0)
-    truth[:5] = 0.0
-    est = truth + rng.normal(scale=1e-3, size=(n, 3))
-    est[:5] = -0.0
-    Rs = [so3_exp(v) for v in rng.normal(scale=0.1, size=(n, 3))]
-    write_trajectory(tmp_path / "ground_truth.tum", t, truth, Rs)
-    write_trajectory(tmp_path / "estimate.tum", t + 1e-4, est, Rs)
-    assert main(["evaluate", "--out-dir", str(tmp_path),
-                 "--log-level", "ERROR"]) == 0
+    # more than one block, exactly one block, and one block plus one line
+    for n in (600, BLOCK, BLOCK + 1):
+        rng = np.random.default_rng(31)
+        out = tmp_path / str(n)
+        out.mkdir()
+        t = np.arange(n) * 0.01
+        truth = np.cumsum(rng.normal(scale=0.01, size=(n, 3)), axis=0)
+        truth[:5] = 0.0
+        est = truth + rng.normal(scale=1e-3, size=(n, 3))
+        est[:5] = -0.0
+        Rs = [so3_exp(v) for v in rng.normal(scale=0.1, size=(n, 3))]
+        write_trajectory(out / "ground_truth.tum", t, truth, Rs)
+        write_trajectory(out / "estimate.tum", t + 1e-4, est, Rs)
+        assert main(["evaluate", "--out-dir", str(out),
+                     "--log-level", "ERROR"]) == 0
 
-    e = Trajectory(*read_trajectory(tmp_path / "estimate.tum"))
-    r = Trajectory(*read_trajectory(tmp_path / "ground_truth.tum"))
-    aligned, _, _ = align_initial(e, r)
-    report = drift_metrics(aligned, r)
-    lines = ["t,ex,ey,ez\n"]
-    for ts, err in zip(report.timestamps, report.position_errors):
-        lines.append("%s,%s,%s,%s\n" % tuple(
-            repr(float(v)) for v in (ts, err[0], err[1], err[2])))
-    assert (tmp_path / "errors.csv").read_text() == "".join(lines)
-    metrics = json.loads((tmp_path / "metrics.json").read_text())
-    assert metrics == report.as_dict()
+        e = Trajectory(*read_trajectory(out / "estimate.tum"))
+        r = Trajectory(*read_trajectory(out / "ground_truth.tum"))
+        aligned, _, _ = align_initial(e, r)
+        report = drift_metrics(aligned, r)
+        lines = ["t,ex,ey,ez\n"]
+        for ts, err in zip(report.timestamps, report.position_errors):
+            lines.append("%s,%s,%s,%s\n" % tuple(
+                repr(float(v)) for v in (ts, err[0], err[1], err[2])))
+        assert (out / "errors.csv").read_text() == "".join(lines)
+        assert len(lines) == n + 1
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics == report.as_dict()

@@ -209,6 +209,12 @@ def test_corrupt_defaults_leave_cables_and_contacts_clean():
     assert noisy.contacts is SIM.contacts
 
 
+def test_corrupt_chatter_one_flips_every_flag():
+    noisy = corrupt(SIM, seed=4, chatter=1.0)
+    assert all(d.flags == tuple(not f for f in c.flags)
+               for c, d in zip(SIM.contacts, noisy.contacts))
+
+
 def test_corrupt_chatter_flips_flags():
     noisy = corrupt(SIM, seed=4, chatter=0.2)
     flips = sum(c.flags != d.flags for c, d in zip(SIM.contacts, noisy.contacts))
