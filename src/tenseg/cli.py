@@ -32,7 +32,7 @@ from .evaluate import (
     drift_metrics,  # noqa: F401  (perfbench/trace.py patches this name)
     evaluate_run,
 )
-from .inekf import ContactAidedFilter, FilterConfig, FilterError
+from .inekf import ContactAidedFilter, FilterError
 from .logio import (
     ConfigError,
     LogFormatError,
@@ -49,12 +49,9 @@ from .simulator import SimConfig, SimulationError, corrupt, generate
 
 log = logging.getLogger("tenseg")
 
-# FilterConfig fields set by config keys of the same name, and their types
-_FILTER_KEYS = {"sigma_fk": float, "fk_covariance_mode": str}
-
 _KNOWN_KEYS = {
     "maneuver", "terrain", "target_length", "cable_noise", "chatter",
-    "calibration_duration", *_FILTER_KEYS,
+    "calibration_duration", "fk_covariance_mode",
 }
 
 
@@ -74,11 +71,6 @@ def _sim_config(cfg):
         terrain=config_get(cfg, "terrain", "flat"),
         target_length=config_get(cfg, "target_length", None, float),
     )
-
-
-def _filter_config(cfg):
-    return FilterConfig(**{key: config_get(cfg, key, None, cast)
-                           for key, cast in _FILTER_KEYS.items() if key in cfg})
 
 
 def cmd_simulate(args, cfg):
@@ -109,10 +101,15 @@ def cmd_estimate(args, cfg):
     if not 0.0 < duration < math.inf:
         raise ConfigError("calibration_duration must be positive and finite, "
                           f"got {duration!r}")
+    mode = config_get(cfg, "fk_covariance_mode", "empirical")
+    if mode not in ("empirical", "jacobian"):
+        raise ConfigError("fk_covariance_mode must be 'empirical' or "
+                          f"'jacobian', got {mode!r}")
     sensors = getattr(args, "sensors", None) or os.path.join(
         args.out_dir, "sensors.jsonl")
     _, events = read_sensor_log(sensors)
-    filt = ContactAidedFilter.calibrated(events, duration, _filter_config(cfg))
+    filt = ContactAidedFilter.calibrated(events, duration,
+                                         jacobian_fk=mode == "jacobian")
     log.info("calibrated until t = %s s; gyro bias %s",
              filt.t_start, filt.state.bias.gyro)
     n = filt.pose_count(events)
@@ -167,8 +164,6 @@ def build_parser():
         prog="tenseg",
         description="Proprioceptive state estimation for a rolling "
                     "3-bar tensegrity robot")
-    parser.add_argument("--log-level", default="INFO",
-                        choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("simulate", cmd_simulate), ("estimate", cmd_estimate),
                      ("evaluate", cmd_evaluate), ("pipeline", cmd_pipeline)):
@@ -189,8 +184,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(args.log_level)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         cfg = _load_config(args.config)

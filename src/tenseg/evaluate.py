@@ -2,10 +2,12 @@
 
 The estimator's world frame is anchored at its starting pose with
 unobservable yaw, so estimated trajectories are first rigidly aligned
-(rotation + translation, no scale) to ground truth over an initial
-window before any error is computed.  Drift is the final position error
-as a percentage of ground-truth path length; RPE is the RMS translation
-error over consecutive one-meter segments of ground-truth arc length.
+(rotation + translation, no scale) to ground truth over the first
+WINDOW seconds before any error is computed.  Drift is the final
+position error as a percentage of ground-truth path length; RPE is the
+RMS translation error over consecutive SEGMENT_LENGTH segments of
+ground-truth arc length.  Estimate and reference samples pair up when
+their timestamps lie within TOLERANCE.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import numpy as np
 
 from .liegroup import project_rotation
 
+WINDOW = 3.0            # initial alignment window [s]
+TOLERANCE = 0.005       # timestamp association tolerance [s]
+SEGMENT_LENGTH = 1.0    # RPE segment length [m]
+
 
 class EvaluationError(Exception):
     pass
@@ -25,7 +31,7 @@ class EvaluationError(Exception):
 class Trajectory:
     timestamps: np.ndarray        # (N,)
     positions: np.ndarray         # (N, 3)
-    rotations: np.ndarray = None  # (N, 3, 3), optional
+    rotations: np.ndarray         # (N, 3, 3)
 
     def __post_init__(self):
         t = np.array(self.timestamps, dtype=float)
@@ -36,16 +42,12 @@ class Trajectory:
             raise ValueError("trajectory needs at least two samples")
         if np.any(np.diff(t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        t.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "timestamps", t)
-        object.__setattr__(self, "positions", p)
-        if self.rotations is not None:
-            R = np.array(self.rotations, dtype=float)
-            if R.shape != (t.size, 3, 3):
-                raise ValueError("rotations must be (N, 3, 3)")
-            R.flags.writeable = False
-            object.__setattr__(self, "rotations", R)
+        R = np.array(self.rotations, dtype=float)
+        if R.shape != (t.size, 3, 3):
+            raise ValueError("rotations must be (N, 3, 3)")
+        for name, a in (("timestamps", t), ("positions", p), ("rotations", R)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def length(self):
         """Polyline arc length of the position track."""
@@ -81,7 +83,7 @@ def drift_percent(final_error, path_length):
     return 100.0 * final_error / path_length
 
 
-def _associate(est: Trajectory, ref: Trajectory, tolerance):
+def _associate(est: Trajectory, ref: Trajectory):
     """Indices pairing each reference sample with its nearest estimate."""
     idx = np.searchsorted(est.timestamps, ref.timestamps)
     idx = np.clip(idx, 1, est.timestamps.size - 1)
@@ -89,49 +91,35 @@ def _associate(est: Trajectory, ref: Trajectory, tolerance):
     right = est.timestamps[idx]
     use_left = np.abs(ref.timestamps - left) <= np.abs(right - ref.timestamps)
     idx = np.where(use_left, idx - 1, idx)
-    ok = np.abs(est.timestamps[idx] - ref.timestamps) <= tolerance
+    ok = np.abs(est.timestamps[idx] - ref.timestamps) <= TOLERANCE
     if not np.any(ok):
         raise EvaluationError("no overlapping samples within tolerance")
     return idx, ok
 
 
-def align_initial(est: Trajectory, ref: Trajectory, window=3.0,
-                  tolerance=0.005):
-    """Rigidly align the estimate to the reference over an initial window.
+def align_initial(est: Trajectory, ref: Trajectory):
+    """Rigidly align the estimate to the reference over the initial window.
 
-    When both trajectories carry orientations the rotation is the
-    chordal mean of the per-sample orientation offsets over the window
-    (robust even when the window is stationary or the path is nearly
-    straight).  Otherwise a closed-form point-cloud fit is used, which
-    needs motion in the window; a stationary position-only window gets
-    identity rotation.  Returns (aligned_estimate, rotation,
+    The rotation is the chordal mean of the per-sample orientation
+    offsets over the window (robust even when the window is stationary
+    or the path is nearly straight); the translation then matches the
+    window's position centroids.  Returns (aligned_estimate, rotation,
     translation).
     """
-    idx, ok = _associate(est, ref, tolerance)
+    idx, ok = _associate(est, ref)
     t0 = ref.timestamps[ok][0]
-    sel = ok & (ref.timestamps <= t0 + window)
-    dst = ref.positions[sel]
-    src = est.positions[idx[sel]]
-    cd, cs = dst.mean(axis=0), src.mean(axis=0)
-    if est.rotations is not None and ref.rotations is not None:
-        R = project_rotation(np.einsum("nij,nkj->ik", ref.rotations[sel],
-                                       est.rotations[idx[sel]]))
-    elif np.max(np.linalg.norm(dst - cd, axis=1)) > 1e-3:
-        R = project_rotation((dst - cd).T @ (src - cs))   # Umeyama, no scale
-    else:
-        R = np.eye(3)
-    t = cd - R @ cs
-    aligned = Trajectory(
-        est.timestamps, (R @ est.positions.T).T + t,
-        None if est.rotations is None else np.einsum("ij,njk->nik", R,
-                                                     est.rotations))
+    sel = ok & (ref.timestamps <= t0 + WINDOW)
+    R = project_rotation(np.einsum("nij,nkj->ik", ref.rotations[sel],
+                                   est.rotations[idx[sel]]))
+    t = ref.positions[sel].mean(axis=0) - R @ est.positions[idx[sel]].mean(axis=0)
+    aligned = Trajectory(est.timestamps, (R @ est.positions.T).T + t,
+                         np.einsum("ij,njk->nik", R, est.rotations))
     return aligned, R, t
 
 
-def drift_metrics(est: Trajectory, ref: Trajectory, segment_length=1.0,
-                  tolerance=0.005) -> MetricsReport:
+def drift_metrics(est: Trajectory, ref: Trajectory) -> MetricsReport:
     """Drift and per-meter RPE of an aligned estimate against ground truth."""
-    idx, ok = _associate(est, ref, tolerance)
+    idx, ok = _associate(est, ref)
     ref_pos = ref.positions[ok]
     est_pos = est.positions[idx[ok]]
     d = np.linalg.norm(np.diff(ref_pos, axis=0), axis=1)
@@ -142,7 +130,7 @@ def drift_metrics(est: Trajectory, ref: Trajectory, segment_length=1.0,
     errors = []
     start = 0
     for k in range(1, arc.size):
-        if arc[k] - arc[start] >= segment_length:
+        if arc[k] - arc[start] >= SEGMENT_LENGTH:
             d_ref = ref_pos[k] - ref_pos[start]
             d_est = est_pos[k] - est_pos[start]
             errors.append(np.linalg.norm(d_est - d_ref))
@@ -159,9 +147,6 @@ def drift_metrics(est: Trajectory, ref: Trajectory, segment_length=1.0,
     )
 
 
-def evaluate_run(est: Trajectory, ref: Trajectory, window=3.0,
-                 segment_length=1.0, tolerance=0.005) -> MetricsReport:
+def evaluate_run(est: Trajectory, ref: Trajectory) -> MetricsReport:
     """Convenience wrapper: align on the initial window, then score."""
-    aligned, _, _ = align_initial(est, ref, window=window, tolerance=tolerance)
-    return drift_metrics(aligned, ref, segment_length=segment_length,
-                         tolerance=tolerance)
+    return drift_metrics(align_initial(est, ref)[0], ref)

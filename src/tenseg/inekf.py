@@ -124,13 +124,14 @@ MAX_DT = 0.1
 
 # Noise densities shared by the simulator and the filter: white noise,
 # bias random walks and contact slip, plus the cable length noise behind
-# the jacobian FK covariance.
+# the jacobian FK covariance and the FK position noise of the empirical one.
 SIGMA_GYRO = 0.002          # [rad/s]
 SIGMA_ACCEL = 0.043         # [m/s^2]
 SIGMA_GYRO_BIAS = 0.001     # [rad/s per sqrt(s)]
 SIGMA_ACCEL_BIAS = 0.001    # [m/s^2 per sqrt(s)]
 SIGMA_CONTACT = 0.05        # contact slip velocity [m/s]
 SIGMA_CABLE = 0.005         # cable length noise [m]
+SIGMA_FK = 0.01             # empirical FK position noise [m]
 
 # Initial covariance after stationary calibration: orientation, velocity,
 # biases uncertain; position pinned (the world frame is defined there).
@@ -324,9 +325,8 @@ def _step_constants(n):
     return A, diag, Q
 
 
-def _system_matrix(state: EstimatorState, W=None):
-    if W is None:
-        W = _column_cross_terms(state)
+def _system_matrix(state: EstimatorState, W):
+    """Error-dynamics matrix; W is _column_cross_terms(state)."""
     A = _step_constants(state.dim)[0].copy()
     minus_R = -state.group.rot
     k0 = A.shape[0] - 6
@@ -336,8 +336,9 @@ def _system_matrix(state: EstimatorState, W=None):
     return A
 
 
-def _process_noise(state: EstimatorState, contact_frame, W=None):
-    """Ad-wrapped continuous process noise covariance (per unit time).
+def _process_noise(state: EstimatorState, contact_frame, W):
+    """Ad-wrapped continuous process noise covariance (per unit time);
+    W is _column_cross_terms(state).
 
     White IMU and contact-slip noises are isotropic (rotating contact
     noise through the gravity-aligned contact frame leaves it isotropic
@@ -346,8 +347,6 @@ def _process_noise(state: EstimatorState, contact_frame, W=None):
     block is Euclidean and stays unwrapped.
     """
     _, diag, Q = _step_constants(state.dim)
-    if W is None:
-        W = _column_cross_terms(state)
     R = state.group.rot
     ng = diag.shape[0]
     Ad = np.zeros((ng, ng))
@@ -490,19 +489,6 @@ def right_invariant_error(est: EstimatorState, truth_rot, truth_vel, truth_pos):
     return sek3_log(compose(est_core, inverse(true_core)))
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    sigma_fk: float = 0.01   # empirical FK position noise [m]
-    fk_covariance_mode: str = "empirical"   # "empirical" | "jacobian"
-
-    def __post_init__(self):
-        if self.fk_covariance_mode not in ("empirical", "jacobian"):
-            raise ValueError("fk_covariance_mode must be 'empirical' or 'jacobian'")
-        if not 0.0 < self.sigma_fk < math.inf:
-            raise ValueError("sigma_fk must be positive and finite, "
-                             f"got {self.sigma_fk!r}")
-
-
 # Shape solves and FK Jacobians use the default solver settings.
 SHAPE_SOLVER = shape.ShapeSolverConfig()
 
@@ -518,12 +504,13 @@ class ContactAidedFilter:
     IMU step as a forward-kinematics correction for every active contact.
     Contact flags are debounced on both edges before the corresponding
     state column is augmented or marginalized.  Events reach the filter
-    only through run().
+    only through run().  With jacobian_fk the FK covariance of a shape
+    comes from its J_p sweep, otherwise it is SIGMA_FK^2 I.
     """
 
-    def __init__(self, state: EstimatorState, config: FilterConfig = None):
+    def __init__(self, state: EstimatorState, jacobian_fk: bool = False):
         self.state = state
-        self.config = config if config is not None else FilterConfig()
+        self.jacobian_fk = jacobian_fk
         # end of calibration: up to it, only cable frames reach the filter
         self.t_start = state.timestamp
         self.shape = None
@@ -534,16 +521,15 @@ class ContactAidedFilter:
         self.solver_failures = 0
 
     @classmethod
-    def calibrated(cls, events, duration, config: FilterConfig = None):
+    def calibrated(cls, events, duration, jacobian_fk: bool = False):
         """Filter calibrated on the IMU samples within duration of the
         first IMU sample in events; it starts at the last of them."""
-        config = config if config is not None else FilterConfig()
         imu = [e for e in events if isinstance(e, ImuSample)]
         if not imu:
             raise ValueError("no IMU samples to calibrate on")
         window = [s for s in imu if s.timestamp <= imu[0].timestamp + duration]
         bias, R0 = init_bias_calibration(window, duration)
-        return cls(initial_state(R0, bias, window[-1].timestamp), config)
+        return cls(initial_state(R0, bias, window[-1].timestamp), jacobian_fk)
 
     def run(self, events):
         """Apply events in log order; yield each IMU sample once taken.
@@ -573,14 +559,13 @@ class ContactAidedFilter:
     def _fk_covariance(self, endcap):
         """Body-frame covariance of the endcap's forward-kinematic position.
 
-        Built for all six endcaps on first use per shape: sigma_fk^2 I,
+        Built for all six endcaps on first use per shape: SIGMA_FK^2 I,
         or in jacobian mode J Sigma J^T from one J_p sweep over the cable
-        noise Sigma, with sigma_fk^2 I when that sweep fails.
+        noise Sigma, with SIGMA_FK^2 I when that sweep fails.
         """
         if self._fk_covs is None:
-            cfg = self.config
-            covs = (cfg.sigma_fk**2 * _EYE3,) * 6
-            if cfg.fk_covariance_mode == "jacobian":
+            covs = (SIGMA_FK**2 * _EYE3,) * 6
+            if self.jacobian_fk:
                 meas = CableMeasurements(self.shape.timestamp, self.shape.cable_lengths())
                 try:
                     J = shape.J_p(meas, range(6), SHAPE_SOLVER, prior=self.shape)

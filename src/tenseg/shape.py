@@ -197,17 +197,13 @@ def prism_from_parameters(cfg: ShapeSolverConfig, radius, twist):
     return (q - mid) @ R.T
 
 
-def canonical_prism(cfg: ShapeSolverConfig, radius_frac=0.35, twist=5.0 * np.pi / 6.0):
+def canonical_prism(cfg: ShapeSolverConfig):
     """Feasible symmetric prism used as the cold-start iterate.
 
-    The twist sign is chosen so the chirality constraints hold.
+    Its twist is -5 pi / 6: the prism scales with L_rod, and at +5 pi / 6
+    it fails the chirality constraints at every rod length.
     """
-    radius = radius_frac * cfg.L_rod
-    for tw in (twist, -twist):
-        q = prism_from_parameters(cfg, radius, tw)
-        if _constraints_pass(q, cfg):
-            return q
-    raise ShapeSolverFailure("no chirality-feasible canonical prism found")
+    return prism_from_parameters(cfg, 0.35 * cfg.L_rod, -(5.0 * np.pi / 6.0))
 
 
 # Fixed offsets breaking the prism symmetry; at the perfectly symmetric
@@ -449,11 +445,6 @@ def _margins(q, cfg: ShapeSolverConfig):
         _inequality_values(q)[0].tolist(), cfg)
 
 
-def _constraints_pass(q, cfg: ShapeSolverConfig):
-    """check_constraints(...).passed without building the report."""
-    return all(v >= 0 for v in _margins(q, cfg))
-
-
 def check_constraints(shape: RobotShape, cfg: ShapeSolverConfig) -> ConstraintReport:
     margins = dict(zip(_MARGIN_NAMES, _margins(shape.q, cfg)))
     return ConstraintReport(margins=margins, passed=all(v >= 0 for v in margins.values()))
@@ -523,7 +514,8 @@ class _Terms:
         return self._viol
 
     def passes(self, cfg):
-        """_constraints_pass of the solver-made endcaps these terms are of.
+        """check_constraints(...).passed of the solver-made endcaps these
+        terms are of, without building the report.
 
         Their pinned endcaps are copies of cfg's, so those coordinates
         are exact and the base rod's length error is cfg's own.

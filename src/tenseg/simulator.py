@@ -8,12 +8,13 @@ angular rate and acceleration start and end at zero.  Poses, velocities
 and angular rates are analytic, so the emitted IMU stream is exact.
 
 Streams:
-  * ground-truth frames at the IMU rate,
+  * ground-truth poses and velocities at the IMU rate,
   * IMU samples (specific force + angular rate, body frame); each sample
     is evaluated at the midpoint of its preceding interval, as an ideal
     integrating sensor would report,
   * cable lengths (constant, since the body is rigid),
-  * per-endcap contact flags from a 1 mm terrain clearance test.
+  * per-endcap contact flags at CONTACT_RATE from a 1 mm terrain
+    clearance test.
 
 Every stream is evaluated array-at-once: the sample times of each grid
 are sorted into trajectory segments with one searchsorted, and each
@@ -115,7 +116,6 @@ class GroundTruthFrame:
     rotation: np.ndarray
     velocity: np.ndarray
     position: np.ndarray
-    contacts: tuple
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class SimOutput:
     frames: tuple                # GroundTruthFrame at the IMU rate
     imu: tuple                   # ImuSample
     cables: tuple                # CableMeasurements
-    contacts: tuple              # ContactVector
+    contacts: tuple              # ContactVector at CONTACT_RATE
     path_length: float
 
 
@@ -330,13 +330,9 @@ def _in_body(R, x):
 
 
 def _flags(cfg, q, R, p):
-    """Per-pose contact flags of the six endcaps, as tuples of bools.
-    A run shows only a few contact patterns, so equal tuples are one
-    object, which the many frames of a run keep alive."""
+    """Per-pose contact flags of the six endcaps, as lists of bools."""
     verts = (R @ q.T).transpose(0, 2, 1) + p[:, None, :]
-    shared = {}
-    return [shared.setdefault(f, f)
-            for f in map(tuple, _touching(cfg, verts).tolist())]
+    return _touching(cfg, verts).tolist()
 
 
 def generate(cfg: SimConfig = None) -> SimOutput:
@@ -351,8 +347,7 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     k = np.arange(n_frames + 1)
     t = k / cfg.imu_rate
     R, p, v, _ = _poses(segs, t)
-    frames = tuple(map(GroundTruthFrame, t.tolist(), R, v, p,
-                       _flags(cfg, q, R, p)))
+    frames = tuple(map(GroundTruthFrame, t.tolist(), R, v, p))
 
     # angular rate at the interval midpoint; specific force consistent
     # with the velocity increment over the interval, expressed in the

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -389,3 +390,52 @@ def test_bad_noise_setting_is_input_error(tmp_path, caplog, key, value):
     assert code == 2
     assert f"{key} must be" in caplog.text
     assert not (out / "sensors.jsonl").exists()
+
+
+def test_sigma_fk_key_is_unknown(tmp_path, caplog):
+    # the empirical FK noise is the constant tenseg.inekf.SIGMA_FK
+    write_lines(tmp_path / "run.cfg", ["sigma_fk = 0.02"])
+    code = main(["pipeline", "--out-dir", str(tmp_path), "--config",
+                 str(tmp_path / "run.cfg"), "--log-level", "ERROR"])
+    assert code == 2
+    assert "sigma_fk" in caplog.text
+    assert not (tmp_path / "sensors.jsonl").exists()
+
+
+def test_bad_fk_covariance_mode_is_config_error(tmp_path, caplog):
+    imu = [ImuSample(k * 0.005, np.array([0.0, 0.0, 9.81]), np.zeros(3))
+           for k in range(1, 601)]
+    write_sensor_log(tmp_path / "sensors.jsonl", imu, [], [], seed=0)
+    write_lines(tmp_path / "run.cfg", ["fk_covariance_mode = exact"])
+    assert main(["estimate", "--out-dir", str(tmp_path), "--log-level",
+                 "ERROR", "--config", str(tmp_path / "run.cfg")]) == 2
+    assert "fk_covariance_mode" in caplog.text
+    assert not (tmp_path / "estimate.tum").exists()
+
+
+def level_run(tmp_path):
+    """A small evaluate run: ground truth scored against itself."""
+    t = np.arange(100) * 0.05
+    p = np.column_stack([t, np.zeros(100), np.zeros(100)])
+    write_trajectory(tmp_path / "ground_truth.tum", t, p, [np.eye(3)] * 100)
+    write_trajectory(tmp_path / "estimate.tum", t, p, [np.eye(3)] * 100)
+    return ["evaluate", "--out-dir", str(tmp_path)]
+
+
+def test_log_level_applies_on_every_call(tmp_path, caplog, capsys):
+    # logging.basicConfig configures once per process, so the level must
+    # be set on the tenseg logger each time main runs
+    argv = level_run(tmp_path)
+    for level, info_lines in (("ERROR", 0), ("INFO", 1), ("WARNING", 0),
+                              ("DEBUG", 1)):
+        caplog.clear()
+        assert main([*argv, "--log-level", level]) == 0
+        assert logging.getLogger("tenseg").level == getattr(logging, level)
+        assert sum(r.levelno == logging.INFO for r in caplog.records) == info_lines
+
+
+def test_log_level_goes_after_the_command(tmp_path):
+    # one --log-level flag: before the subcommand it is a usage error
+    with pytest.raises(SystemExit) as err:
+        main(["--log-level", "DEBUG", *level_run(tmp_path)])
+    assert err.value.code == 1

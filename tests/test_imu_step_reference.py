@@ -23,12 +23,12 @@ from tenseg.inekf import (
     SIGMA_ACCEL_BIAS,
     SIGMA_CABLE,
     SIGMA_CONTACT,
+    SIGMA_FK,
     SIGMA_GYRO,
     SIGMA_GYRO_BIAS,
     ContactAidedFilter,
     CorrectionInfo,
     EstimatorState,
-    FilterConfig,
     FilterError,
     ImuBias,
     ImuSample,
@@ -171,10 +171,10 @@ def ref_propagate(state, imu, dt, contact_frame=None):
 
 def ref_fk_covariance(mode, jacobian=None):
     """Body-frame FK covariance: J Sigma J^T of the cable noise in jacobian
-    mode when a Jacobian is at hand, the default sigma_fk^2 I otherwise."""
+    mode when a Jacobian is at hand, SIGMA_FK^2 I otherwise."""
     if mode == "jacobian" and jacobian is not None:
         return jacobian @ (SIGMA_CABLE**2 * np.eye(9)) @ jacobian.T
-    return FilterConfig().sigma_fk**2 * np.eye(3)
+    return SIGMA_FK**2 * np.eye(3)
 
 
 def ref_correct_contact(state, endcap, shape, cov_fk):
@@ -274,14 +274,14 @@ def test_propagate_equals_reference_bitwise(mode):
         imu = ImuSample(st.timestamp + dt, accel, gyro)
         W = ref_column_cross_terms(st)
         assert same_bits(inekf._column_cross_terms(st), W)
-        assert same_bits(inekf._system_matrix(st), ref_system_matrix(st))
-        assert same_bits(inekf._process_noise(st, None),
+        assert same_bits(inekf._system_matrix(st, W), ref_system_matrix(st))
+        assert same_bits(inekf._process_noise(st, None, W),
                          ref_process_noise(st, None))
         assert_same_state(propagate(st, imu, dt), ref_propagate(st, imu, dt))
         # the filter steps by the difference of the stamps
         dt_log = imu.timestamp - st.timestamp
         if dt_log <= MAX_DT:
-            f = ContactAidedFilter(st, FilterConfig(fk_covariance_mode=mode))
+            f = ContactAidedFilter(st, jacobian_fk=mode == "jacobian")
             f.process_imu(imu)
             assert_same_state(f.state, ref_propagate(st, imu, dt_log))
             assert f.corrections == []

@@ -10,13 +10,13 @@ from tenseg.inekf import (
     SIGMA_ACCEL_BIAS,
     SIGMA_CABLE,
     SIGMA_CONTACT,
+    SIGMA_FK,
     SIGMA_GYRO,
     SIGMA_GYRO_BIAS,
     CalibrationError,
     ContactAidedFilter,
     ContactVector,
     EstimatorState,
-    FilterConfig,
     FilterError,
     ImuBias,
     ImuSample,
@@ -47,7 +47,6 @@ from tenseg.shape import (
     asymmetric_stance,
 )
 
-SIGMA_FK = FilterConfig().sigma_fk
 COV_FK = SIGMA_FK**2 * np.eye(3)    # the default, empirical FK covariance
 SOLVER = ShapeSolverConfig()
 DT = 0.005
@@ -357,7 +356,7 @@ def test_error_propagation_linearization_order():
         est = replace(truth, group=est_group,
                       bias=ImuBias(accel=b_true.accel + s * db_dir[3:],
                                    gyro=b_true.gyro + s * db_dir[:3]))
-        A = _system_matrix(est)
+        A = _system_matrix(est, inekf._column_cross_terms(est))
         Phi = np.eye(18) + A * dt + 0.5 * (A @ A) * dt**2
         e0 = np.concatenate([s * xi_dir, s * db_dir])
         truth1 = propagate(truth, imu, dt)
@@ -593,8 +592,8 @@ def test_driver_one_J_p_sweep_per_fresh_shape(monkeypatch):
         return sweep(meas, contact_endcap, cfg, prior=prior)
 
     monkeypatch.setattr(tenseg.shape, "J_p", counted)
-    cfg = FilterConfig(fk_covariance_mode="jacobian")
-    f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0), cfg)
+    f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0),
+                           jacobian_fk=True)
     flags = [i in (1, 3) for i in range(6)]
     fresh = [k * DT for k in range(2, 9, 2)]
     for imu in f.run(stance_log(flags, 8)):
@@ -617,7 +616,7 @@ def test_driver_fk_fallback_on_jacobian_unavailable(monkeypatch):
 
     monkeypatch.setattr(tenseg.shape, "J_p", first_fails)
     start = initial_state(np.eye(3), ImuBias(), 0.0)
-    jac = ContactAidedFilter(start, FilterConfig(fk_covariance_mode="jacobian"))
+    jac = ContactAidedFilter(start, jacobian_fk=True)
     emp = ContactAidedFilter(start)
     log = stance_log([i in (1, 3) for i in range(6)], 4)
     for a, b in zip(jac.run(log), emp.run(log)):
@@ -637,16 +636,11 @@ def test_driver_fk_fallback_on_jacobian_unavailable(monkeypatch):
 def test_fk_covariance_modes(monkeypatch):
     J = np.random.default_rng(0).normal(size=(6, 3, 9))
     monkeypatch.setattr(tenseg.shape, "J_p", lambda *args, **kwargs: J)
-    for mode in ("empirical", "jacobian"):
+    for jacobian_fk in (False, True):
         f = ContactAidedFilter(initial_state(np.eye(3), ImuBias(), 0.0),
-                               FilterConfig(sigma_fk=0.03, fk_covariance_mode=mode))
+                               jacobian_fk=jacobian_fk)
         f.process_cables(stance_cables())
         for endcap in range(6):
             want = (SIGMA_CABLE**2 * (J[endcap] @ J[endcap].T)
-                    if mode == "jacobian" else 0.03**2 * np.eye(3))
+                    if jacobian_fk else SIGMA_FK**2 * np.eye(3))
             np.testing.assert_allclose(f._fk_covariance(endcap), want)
-    with pytest.raises(ValueError, match="fk_covariance_mode"):
-        FilterConfig(fk_covariance_mode="exact")
-    for sigma_fk in (np.nan, np.inf, -0.01, 0.0):
-        with pytest.raises(ValueError, match="sigma_fk"):
-            FilterConfig(sigma_fk=sigma_fk)

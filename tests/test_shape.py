@@ -251,9 +251,15 @@ def test_relabel_consistency():
 
 
 def test_check_constraints_valid_prism():
-    rep = check_constraints(RobotShape(0.0, canonical_prism(CFG)), CFG)
-    assert rep.passed
-    assert len(rep.margins) == 11
+    # the cold start scales with L_rod; its mirror image (twist +5 pi / 6)
+    # fails chirality at every rod length
+    for L_rod in (1.0, 1.4, 1.45, 2.0):
+        cfg = ShapeSolverConfig(L_rod=L_rod)
+        rep = check_constraints(RobotShape(0.0, canonical_prism(cfg)), cfg)
+        assert rep.passed
+        assert len(rep.margins) == 11
+        mirror = prism_from_parameters(cfg, 0.35 * L_rod, 5.0 * np.pi / 6.0)
+        assert not check_constraints(RobotShape(0.0, mirror), cfg).passed
 
 
 def test_check_constraints_rod_length_violation():
@@ -578,6 +584,6 @@ def test_constraint_margins_equal_reference_bitwise():
         assert list(ours.margins) == list(ref.margins)
         assert (np.array(list(ours.margins.values())).tobytes()
                 == np.array(list(ref.margins.values())).tobytes())
-        assert ours.passed == ref.passed == tenseg.shape._constraints_pass(q, CFG)
+        assert ours.passed == ref.passed
         passed += ours.passed
     assert 300 < passed < 2700

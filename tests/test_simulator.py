@@ -301,7 +301,7 @@ def _ref_streams(cfg):
     frames = []
     for k in range(n_frames + 1):
         R, p, v, _ = pose(k / cfg.imu_rate)
-        frames.append((R, v, p, flags(R, p)))
+        frames.append((R, v, p))
     dt = 1.0 / cfg.imu_rate
     imu = []
     for k in range(1, n_frames + 1):
@@ -339,11 +339,10 @@ def test_generate_equals_reference_loop_bitwise(cfg):
     frames, imu, contacts = _ref_streams(cfg)
     assert len(sim.frames) == len(frames) and len(sim.imu) == len(imu)
     assert len(sim.contacts) == len(contacts)
-    for f, (R, v, p, fl) in zip(sim.frames, frames):
+    for f, (R, v, p) in zip(sim.frames, frames):
         assert f.rotation.tobytes() == R.tobytes()
         assert f.velocity.tobytes() == v.tobytes()
         assert f.position.tobytes() == p.tobytes()
-        assert f.contacts == fl
     for s, (t, accel, gyro) in zip(sim.imu, imu):
         assert s.timestamp == t
         assert s.accel.tobytes() == accel.tobytes()

@@ -9,7 +9,7 @@ For every seed it runs, on both trees:
   * `tenseg pipeline` with the default config, with
     `fk_covariance_mode = jacobian`, with `maneuver = backward` and
     `cable_noise = 0.005`, with `terrain = valley`, and in empirical FK
-    mode with `sigma_fk = 0.02` and `chatter = 0.02`;
+    mode with `chatter = 0.02`;
   * the shape solver alone, through its public API: a sha256 over the
     `q` and `residual` of warm-chained solves of exact and noisy (5 mm)
     cable frames of a forward roll (every fifth frame), chained from the
@@ -46,7 +46,7 @@ OUTPUTS = ("sensors.jsonl", "ground_truth.tum", "estimate.tum",
 PIPELINE_CONFIGS = {"default": "", "jacobian": "fk_covariance_mode = jacobian\n",
                     "backward": "maneuver = backward\ncable_noise = 0.005\n",
                     "valley": "terrain = valley\n",
-                    "sigma_fk": "sigma_fk = 0.02\nchatter = 0.02\n"}
+                    "chatter": "chatter = 0.02\n"}
 
 
 def solver_digest(seed):
