@@ -82,10 +82,8 @@ def cmd_simulate(args, cfg):
                     chatter=config_get(cfg, "chatter", 0.0, float))
     write_sensor_log(os.path.join(args.out_dir, "sensors.jsonl"),
                      noisy.imu, noisy.cables, noisy.contacts, args.seed, cfg)
-    write_trajectory(os.path.join(args.out_dir, "ground_truth.tum"),
-                     [f.timestamp for f in sim.frames],
-                     [f.position for f in sim.frames],
-                     [f.rotation for f in sim.frames])
+    t, R, _, p = sim.frames.columns
+    write_trajectory(os.path.join(args.out_dir, "ground_truth.tum"), t, p, R)
     info = {"maneuver": sim_cfg.maneuver, "terrain": sim_cfg.terrain,
             "path_length_m": sim.path_length,
             "duration_s": sim.frames[-1].timestamp, "seed": args.seed}
@@ -96,7 +94,8 @@ def cmd_simulate(args, cfg):
              sim.path_length, info["duration_s"], args.out_dir)
 
 
-def cmd_estimate(args, cfg):
+def _estimate_options(cfg):
+    """(calibration_duration, fk_covariance_mode) of the config, checked."""
     duration = config_get(cfg, "calibration_duration", 2.0, float)
     if not 0.0 < duration < math.inf:
         raise ConfigError("calibration_duration must be positive and finite, "
@@ -105,6 +104,11 @@ def cmd_estimate(args, cfg):
     if mode not in ("empirical", "jacobian"):
         raise ConfigError("fk_covariance_mode must be 'empirical' or "
                           f"'jacobian', got {mode!r}")
+    return duration, mode
+
+
+def cmd_estimate(args, cfg):
+    duration, mode = _estimate_options(cfg)
     sensors = getattr(args, "sensors", None) or os.path.join(
         args.out_dir, "sensors.jsonl")
     _, events = read_sensor_log(sensors)
@@ -146,6 +150,7 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_pipeline(args, cfg):
+    _estimate_options(cfg)   # before simulate writes any file
     cmd_simulate(args, cfg)
     cmd_estimate(args, cfg)
     cmd_evaluate(args, cfg)

@@ -29,13 +29,21 @@ holds because
   * array `**` takes a vectorized pow that differs from the scalar
     pow() in the last bit, so powers go through Python floats (_pow).
 
+The ground-truth frames and the IMU samples are array-backed Streams:
+SimOutput keeps their stacked arrays, read-only, and builds each
+GroundTruthFrame or ImuSample when a caller reads it, as views of those
+arrays.
+
 corrupt() overlays sensor noise: white IMU noise scaled to the sample
 rate, random-walk IMU biases, optional cable noise and contact chatter.
+It adds the IMU noise to the stacked arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,7 +118,7 @@ class SimConfig:
 
 @dataclass(frozen=True, slots=True)
 class GroundTruthFrame:
-    """Pose at one IMU-rate time; slotted, as a run keeps thousands."""
+    """Pose at one IMU-rate time; slotted, as a run reads thousands."""
 
     timestamp: float
     rotation: np.ndarray
@@ -118,12 +126,46 @@ class GroundTruthFrame:
     position: np.ndarray
 
 
+class Stream(Sequence):
+    """Read-only sequence of samples held as stacked arrays.
+
+    columns are the arguments of make in order: an (n,) array of
+    timestamps, then arrays of n rows each.  Item k is make(t[k], rows[k]
+    of each column), built when it is read, with the timestamp as a
+    Python float and the rows as views; the arrays become read-only.
+    Nothing is checked: a caller of make=ImuSample._trusted checks
+    finiteness first.
+    """
+
+    __slots__ = ("_make", "columns")
+
+    def __init__(self, make, *columns):
+        for a in columns:
+            a.flags.writeable = False
+        self._make = make
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Stream(self._make, *(a[k] for a in self.columns))
+        k = operator.index(k)
+        t, *rows = (a[k] for a in self.columns)
+        return self._make(t.item(), *rows)
+
+    def __iter__(self):
+        t, *rows = self.columns
+        return map(self._make, t.tolist(), *rows)
+
+
 @dataclass(frozen=True)
 class SimOutput:
     config: SimConfig
     body_shape: np.ndarray       # (6, 3) endcap coordinates, body frame
-    frames: tuple                # GroundTruthFrame at the IMU rate
-    imu: tuple                   # ImuSample
+    frames: Stream               # GroundTruthFrame at the IMU rate
+    imu: Stream                  # ImuSample
     cables: tuple                # CableMeasurements
     contacts: tuple              # ContactVector at CONTACT_RATE
     path_length: float
@@ -335,6 +377,16 @@ def _flags(cfg, q, R, p):
     return _touching(cfg, verts).tolist()
 
 
+def _imu_stream(t, accel, gyro):
+    """Stream of ImuSamples over stacked (n,), (n, 3), (n, 3) arrays.  A
+    non-finite row raises here the ValueError its ImuSample would."""
+    finite = np.isfinite(accel).all(axis=1) & np.isfinite(gyro).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        ImuSample(t[k], accel[k], gyro[k])   # raises
+    return Stream(ImuSample._trusted, t, accel, gyro)
+
+
 def generate(cfg: SimConfig = None) -> SimOutput:
     """Ground truth and exact sensor streams for one maneuver."""
     if cfg is None:
@@ -347,7 +399,7 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     k = np.arange(n_frames + 1)
     t = k / cfg.imu_rate
     R, p, v, _ = _poses(segs, t)
-    frames = tuple(map(GroundTruthFrame, t.tolist(), R, v, p))
+    frames = Stream(GroundTruthFrame, t, R, v, p)
 
     # angular rate at the interval midpoint; specific force consistent
     # with the velocity increment over the interval, expressed in the
@@ -359,10 +411,7 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     R_mid, _, _, omega = _poses(segs, (k[1:] - 0.5) * dt)
     accel = _in_body(R_end[:-1], (v_end[1:] - v_end[:-1]) / dt - GRAVITY)
     gyro = _in_body(R_mid, omega)
-    # the public constructor raises the error a non-finite sample gets
-    make = ImuSample._trusted if np.isfinite(accel).all() \
-        and np.isfinite(gyro).all() else ImuSample
-    imu = tuple(map(make, (k[1:] * dt).tolist(), accel, gyro))
+    imu = _imu_stream(k[1:] * dt, accel, gyro)
 
     lengths = RobotShape(0.0, q).cable_lengths()
     cables = tuple(CableMeasurements(j / cfg.cable_rate, lengths)
@@ -405,14 +454,9 @@ def corrupt(sim: SimOutput, seed=0, cable_noise=0.0, chatter=0.0) -> SimOutput:
     walks[1:, 1] = SIGMA_ACCEL_BIAS * np.sqrt(dt) * z[:, 1]
     np.cumsum(walks, axis=0, out=walks)
     bg, ba = walks[1:, 0], walks[1:, 1]
-    accel = np.array([s.accel for s in sim.imu]).reshape(n, 3) + ba \
-        + SIGMA_ACCEL * root * z[:, 2]
-    gyro = np.array([s.gyro for s in sim.imu]).reshape(n, 3) + bg \
-        + SIGMA_GYRO * root * z[:, 3]
-    # the public constructor raises the error a non-finite sample gets
-    make = ImuSample._trusted if np.isfinite(accel).all() \
-        and np.isfinite(gyro).all() else ImuSample
-    imu = [make(s.timestamp, a, g) for s, a, g in zip(sim.imu, accel, gyro)]
+    t, accel, gyro = sim.imu.columns
+    imu = _imu_stream(t, accel + ba + SIGMA_ACCEL * root * z[:, 2],
+                      gyro + bg + SIGMA_GYRO * root * z[:, 3])
 
     cables = sim.cables
     if cable_noise > 0.0:
@@ -428,4 +472,4 @@ def corrupt(sim: SimOutput, seed=0, cable_noise=0.0, chatter=0.0) -> SimOutput:
                 (not f) if flip else f for f, flip in zip(c.flags, fl)))
             for c, fl in zip(sim.contacts, flips))
 
-    return replace(sim, imu=tuple(imu), cables=cables, contacts=contacts)
+    return replace(sim, imu=imu, cables=cables, contacts=contacts)

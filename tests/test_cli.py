@@ -413,6 +413,21 @@ def test_bad_fk_covariance_mode_is_config_error(tmp_path, caplog):
     assert not (tmp_path / "estimate.tum").exists()
 
 
+@pytest.mark.parametrize("line", ["fk_covariance_mode = exact",
+                                  "calibration_duration = nan"])
+def test_pipeline_checks_estimate_options_before_simulating(tmp_path, line,
+                                                            caplog):
+    # the pipeline once simulated and wrote three files before estimate
+    # refused the config
+    cfg = tmp_path / "run.cfg"
+    write_lines(cfg, ["target_length = 0.5", line])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out-dir", str(out), "--log-level", "ERROR",
+                 "--config", str(cfg)]) == 2
+    assert line.split()[0] in caplog.text
+    assert list(out.iterdir()) == []
+
+
 def level_run(tmp_path):
     """A small evaluate run: ground truth scored against itself."""
     t = np.arange(100) * 0.05

@@ -40,7 +40,13 @@ from tenseg.shape import (
     ShapeSolverConfig,
     reconstruct_shape,
 )
-from tenseg.simulator import SimConfig, SimOutput, corrupt, generate
+from tenseg.simulator import (
+    SimConfig,
+    SimOutput,
+    Stream,
+    corrupt,
+    generate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +662,10 @@ def test_corrupt_matches_reference(short_sim, seed, cable_noise, chatter):
 
 def test_corrupt_non_finite_sample_raises_as_reference(short_sim):
     # one trusted sample with an infinite accel, which no constructor checked
-    bad = ImuSample._trusted(0.01, np.array([0.0, np.inf, 9.81]), np.zeros(3))
+    bad = Stream(ImuSample._trusted, np.array([0.01]),
+                 np.array([[0.0, np.inf, 9.81]]), np.zeros((1, 3)))
     sim = SimOutput(short_sim.config, short_sim.body_shape, short_sim.frames,
-                    (bad,), short_sim.cables, short_sim.contacts,
+                    bad, short_sim.cables, short_sim.contacts,
                     short_sim.path_length)
     with pytest.raises(ValueError, match="accel must be a finite 3-vector"):
         ref_corrupt(sim)

@@ -79,6 +79,23 @@ def test_estimate_keeps_poses_in_three_arrays(tmp_path, monkeypatch):
     assert seen["end"] - seen["start"] < 64 * 1024
 
 
+def test_simulator_keeps_no_per_sample_objects():
+    # the turn_imu1k benchmark workload (perfbench/workloads.py): 4801
+    # ground-truth frames and two sets of 4800 IMU samples, about 6.1 MB
+    # as objects, against about 0.6 MB of stacked arrays
+    cfg = SimConfig(maneuver="right_turn", target_length=1.2, dwell=1.6,
+                    final_dwell=0.2, imu_rate=1000.0)
+    # a first call pays for numpy.random's one-time allocations
+    corrupt(generate(SimConfig(target_length=0.3)), seed=1, chatter=0.01)
+    with tracing():
+        base = tracemalloc.get_traced_memory()[0]
+        sim = generate(cfg)
+        noisy = corrupt(sim, seed=11, chatter=0.01)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    assert len(sim.frames) == 4801 and len(noisy.imu) == 4800
+    assert kept <= 2 * 2**20
+
+
 def test_pipeline_leaves_numpy_ma_unloaded(tmp_path):
     # np.median imports numpy.ma, about 1 MB resident, on its first call
     cfg = tmp_path / "short.cfg"

@@ -1,4 +1,5 @@
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tenseg.inekf import (
     SIGMA_ACCEL,
     SIGMA_GYRO,
     ImuBias,
+    ImuSample,
     initial_state,
     propagate,
 )
@@ -23,6 +25,7 @@ from tenseg.shape import (
 from tenseg.simulator import (
     CONTACT_RATE,
     CONTACT_TOL,
+    GroundTruthFrame,
     SimConfig,
     SimulationError,
     _pow,
@@ -219,6 +222,65 @@ def test_corrupt_chatter_flips_flags():
     noisy = corrupt(SIM, seed=4, chatter=0.2)
     flips = sum(c.flags != d.flags for c, d in zip(SIM.contacts, noisy.contacts))
     assert flips > 0
+
+
+# ---------------------------------------------------------------------------
+# array-backed streams behave as the tuples of eagerly built items they
+# replace
+
+
+def _eager(stream, make):
+    t, *rows = stream.columns
+    return tuple(map(make, t.tolist(), *rows))
+
+
+def _assert_same_items(items, expected):
+    assert len(items) == len(expected)
+    for x, y in zip(items, expected):
+        assert type(x) is type(y)
+        assert type(x.timestamp) is float and x.timestamp == y.timestamp
+        for name in x.__slots__[1:]:
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+
+
+@pytest.mark.parametrize("name,make", [("frames", GroundTruthFrame),
+                                       ("imu", ImuSample)])
+def test_streams_behave_as_tuples(name, make):
+    short = generate(SHORT)
+    for stream in (getattr(short, name), getattr(corrupt(short, seed=9), name)):
+        eager = _eager(stream, make)
+        n = len(eager)
+        assert len(stream) == n > 100
+        _assert_same_items(list(stream), eager)
+        _assert_same_items([stream[0], stream[-1], stream[n - 1], stream[-n]],
+                           [eager[0], eager[-1], eager[-1], eager[0]])
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                stream[k]
+        for k in (slice(None, None, 7), slice(3, -2, 7), slice(None, None, -7)):
+            assert len(stream[k]) == len(eager[k])
+            _assert_same_items(list(stream[k]), eager[k])
+        _assert_same_items(list(stream[::7][1:]), eager[::7][1:])
+        item = stream[0]
+        for field in item.__slots__[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(item, field)[0] = 1.0
+        for column in stream.columns:
+            assert not column.flags.writeable
+
+
+def test_non_finite_imu_raises_in_generate_and_corrupt(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "GRAVITY", np.array([0.0, 0.0, np.inf]))
+        with pytest.raises(ValueError, match="accel must be a finite"):
+            generate(SHORT)
+    clean = generate(SHORT)
+    t, accel, gyro = (a.copy() for a in clean.imu.columns)
+    gyro[5, 1] = np.nan
+    bad = replace(clean, imu=simulator.Stream(ImuSample._trusted, t, accel,
+                                              gyro))
+    with pytest.raises(ValueError, match="gyro must be a finite"):
+        corrupt(bad, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@
 Runs N rounds (default 2) of one benchmark workload (perfbench/workloads.py)
 in this process through perfbench.run.run_round itself, untraced, and gives
 the first round's outputs perfbench's output checks, as the benchmark does.
-Shims around perfbench's `simulate` and tenseg.cli.main note the process's
-peak RSS so far (`ru_maxrss`, the figure behind the benchmark's
-`peak_rss_mb`) after each call, so a change in `peak_rss_mb` can be traced
-to the phase that moved it.  Outputs go to a temporary directory.
+Shims note the process's peak RSS so far (`ru_maxrss`, the figure behind
+the benchmark's `peak_rss_mb`) after each call of perfbench's `simulate`
+and of tenseg.cli.main (estimate, evaluate), and, inside the simulate
+phase, after each of the four calls it makes: simulator.generate,
+simulator.corrupt, logio.write_sensor_log and logio.write_trajectory.  So
+a change in `peak_rss_mb` can be traced to the call that moved it.
+Outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -29,7 +32,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import perfbench.run as bench  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
-from tenseg import cli  # noqa: E402
+from tenseg import cli, logio, simulator  # noqa: E402
+
+# Each call is a phase named after the function; cli.main's phase is its
+# command (estimate, evaluate).  The last four are the calls perfbench's
+# `simulate` makes; cli binds its own logio names, so patching logio's
+# catches only those.
+NOTED = ((bench, "simulate"), (cli, "main"),
+         (simulator, "generate"), (simulator, "corrupt"),
+         (logio, "write_sensor_log"), (logio, "write_trajectory"))
 
 
 def peak_rss_mb():
@@ -40,16 +51,16 @@ def run(wl, seed, rounds, out_dir):
     """Yield (round, phase, peak RSS in MB) after each phase."""
     phases = {}   # phase -> peak RSS after its last call this round
 
-    def noted(phase_of, fn):
-        def shim(*args):
-            out = fn(*args)
-            phases[phase_of(args)] = peak_rss_mb()
+    def noted(name, fn):
+        def shim(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            phases[args[0][0] if name == "main" else name] = peak_rss_mb()
             return out
         return shim
 
-    simulate, main = bench.simulate, cli.main
-    bench.simulate = noted(lambda args: "simulate", simulate)
-    cli.main = noted(lambda args: args[0][0], main)
+    originals = [(owner, name, getattr(owner, name)) for owner, name in NOTED]
+    for owner, name, fn in originals:
+        setattr(owner, name, noted(name, fn))
     try:
         yield 0, "start", peak_rss_mb()
         for k in range(1, rounds + 1):
@@ -64,7 +75,8 @@ def run(wl, seed, rounds, out_dir):
                 yield k, "checks", peak_rss_mb()
             rnd.inputs = None   # the benchmark drops each round's inputs
     finally:
-        bench.simulate, cli.main = simulate, main
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
 
 
 def main(argv=None):
@@ -76,10 +88,10 @@ def main(argv=None):
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     with tempfile.TemporaryDirectory(prefix="phase_rss-") as tmp:
-        print(f"{'round':>5}  {'phase':<9} peak_rss_mb")
+        print(f"{'round':>5}  {'phase':<16} peak_rss_mb")
         for k, phase, mb in run(WORKLOADS[args.workload], args.seed,
                                 args.rounds, Path(tmp)):
-            print(f"{k:>5}  {phase:<9} {mb:.1f}")
+            print(f"{k:>5}  {phase:<16} {mb:.1f}")
     return 0
 
 
