@@ -116,7 +116,7 @@ def cmd_estimate(args, cfg):
                                          jacobian_fk=mode == "jacobian")
     log.info("calibrated until t = %s s; gyro bias %s",
              filt.t_start, filt.state.bias.gyro)
-    n = filt.pose_count(events)
+    n = events.count_imu_after(filt.t_start)   # the samples run yields
     ts, ps, Rs = np.empty(n), np.empty((n, 3)), np.empty((n, 3, 3))
     for k, imu in enumerate(filt.run(events)):
         ts[k] = imu.timestamp

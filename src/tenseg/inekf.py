@@ -18,6 +18,8 @@ at liftoff.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -72,6 +74,40 @@ class ImuSample:
         object.__setattr__(sample, "accel", accel)
         object.__setattr__(sample, "gyro", gyro)
         return sample
+
+
+class Stream(Sequence):
+    """Read-only sequence of samples held as stacked arrays.
+
+    columns are the arguments of make in order: an (n,) array of
+    timestamps, then arrays of n rows each.  Item k is make(t[k], rows[k]
+    of each column), built when it is read, with the timestamp as a
+    Python float and the rows as views; the arrays become read-only.
+    Nothing is checked: a caller of make=ImuSample._trusted checks
+    finiteness first.
+    """
+
+    __slots__ = ("_make", "columns")
+
+    def __init__(self, make, *columns):
+        for a in columns:
+            a.flags.writeable = False
+        self._make = make
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Stream(self._make, *(a[k] for a in self.columns))
+        k = operator.index(k)
+        t, *rows = (a[k] for a in self.columns)
+        return self._make(t.item(), *rows)
+
+    def __iter__(self):
+        t, *rows = self.columns
+        return map(self._make, t.tolist(), *rows)
 
 
 @dataclass(frozen=True)
@@ -523,11 +559,21 @@ class ContactAidedFilter:
     @classmethod
     def calibrated(cls, events, duration, jacobian_fk: bool = False):
         """Filter calibrated on the IMU samples within duration of the
-        first IMU sample in events; it starts at the last of them."""
-        imu = [e for e in events if isinstance(e, ImuSample)]
-        if not imu:
+        first IMU sample in events; it starts at the last of them.
+        Events must be in time order, as a sensor log's are: they are
+        read up to the first IMU sample past the window.  duration must
+        be positive and finite."""
+        if not 0.0 < duration < math.inf:
+            raise ValueError("calibration duration must be positive and "
+                             f"finite, got {duration!r}")
+        window = []
+        for e in events:
+            if isinstance(e, ImuSample):
+                if window and e.timestamp > window[0].timestamp + duration:
+                    break
+                window.append(e)
+        if not window:
             raise ValueError("no IMU samples to calibrate on")
-        window = [s for s in imu if s.timestamp <= imu[0].timestamp + duration]
         bias, R0 = init_bias_calibration(window, duration)
         return cls(initial_state(R0, bias, window[-1].timestamp), jacobian_fk)
 
@@ -549,12 +595,6 @@ class ContactAidedFilter:
                 yield e
             elif isinstance(e, ContactVector):
                 self.process_contacts(e)
-
-    def pose_count(self, events):
-        """How many IMU samples run(events) yields: those after t_start."""
-        t_start = self.t_start
-        return sum(isinstance(e, ImuSample) and e.timestamp > t_start
-                   for e in events)
 
     def _fk_covariance(self, endcap):
         """Body-frame covariance of the endcap's forward-kinematic position.

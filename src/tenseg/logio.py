@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import numpy as np
 
 from . import __version__
-from .inekf import ContactVector, ImuSample
+from .inekf import ContactVector, ImuSample, Stream
 from .shape import CABLE_PAIRS, CableMeasurements
 
 
@@ -63,11 +64,11 @@ def _number(v, name):
 
 
 def _finite3(v, name):
-    """A fresh float array of a JSON list of three finite numbers; JSON
+    """v, checked to be a JSON list of three finite numbers; JSON
     booleans, which math.isfinite would take as 0 and 1, are refused."""
     if len(v) != 3 or bool in map(type, v) or not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be a finite 3-vector")
-    return np.array(v, dtype=float)
+    return v
 
 
 def _cable_vector(by_key):
@@ -88,51 +89,148 @@ def _cable_vector(by_key):
     return [by_pair[p] for p in CABLE_PAIRS]
 
 
+def _stable_order(name, t):
+    """Indices putting timestamps t in stable time order, or None when
+    they are in order already.  A NaN or infinite timestamp raises
+    ValueError naming the stream and the record's index."""
+    t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"{name} record {k} has a non-finite timestamp "
+                         f"({float(t[k])!r})")
+    if np.all(t[1:] >= t[:-1]):
+        return None
+    return np.argsort(t, kind="stable")
+
+
+def _time_ordered(name, records):
+    """A tuple of timestamped records in stable time order."""
+    records = tuple(records)
+    order = _stable_order(name, [r.timestamp for r in records])
+    return records if order is None else tuple(records[k] for k in order)
+
+
+def _imu_time_ordered(imu):
+    """imu, a Stream or an iterable of ImuSamples, as a Stream in stable
+    time order; samples are stacked into its columns."""
+    if not isinstance(imu, Stream):
+        imu = tuple(imu)
+        imu = Stream(ImuSample._trusted,
+                     np.array([s.timestamp for s in imu], dtype=float),
+                     np.array([s.accel for s in imu]).reshape(-1, 3),
+                     np.array([s.gyro for s in imu]).reshape(-1, 3))
+    order = _stable_order("imu", imu.columns[0])
+    if order is None:
+        return imu
+    return Stream(ImuSample._trusted, *(a[order] for a in imu.columns))
+
+
+def _merge_order(*timestamps):
+    """Bytes giving, for each record of the merged file in order, the
+    index of the time-ordered stream it comes from.  The stable sort of
+    the concatenated timestamps puts equal ones in stream order."""
+    kinds = np.repeat(np.arange(len(timestamps), dtype=np.uint8),
+                      [len(t) for t in timestamps])
+    order = np.argsort(np.concatenate(timestamps), kind="stable")
+    return kinds[order].tobytes()
+
+
+_IMU_LINE = ('{{"t": {}, "type": "imu", "a": [{}, {}, {}], '
+             '"w": [{}, {}, {}]}}\n')
+# a read IMU record: t, accel, gyro
+_IMU_ROW = struct.Struct("7d")
+
+
 def write_sensor_log(path, imu, cables, contacts, seed, config=None):
     """Merge sensor streams into one time-ordered JSONL file.
 
     Records sharing a timestamp are ordered cable, contact, imu, which
     is the order a consumer should apply them in.  Each line is the
-    bytes json.dumps writes for the record.
+    bytes json.dumps writes for the record, with IMU timestamps as
+    floats.  The streams are iterables (imu a Stream or ImuSamples); a
+    stream out of time order is sorted first, stably.  Lines are written
+    as they are made, none held for the whole file.  A NaN or infinite
+    timestamp raises ValueError before the file is opened.
     """
     num = _json_float
-    records = []
-    for c in cables:
-        lengths = ", ".join(f'"{i}-{j}": {num(v)}'
-                            for (i, j), v in zip(CABLE_PAIRS, c.lengths.tolist()))
-        records.append((c.timestamp, 0, f'{{"t": {num(c.timestamp)}, '
-                        f'"type": "cable", "l": {{{lengths}}}}}\n'))
-    for c in contacts:
-        flags = ", ".join("true" if f else "false" for f in c.flags)
-        records.append((c.timestamp, 1, f'{{"t": {num(c.timestamp)}, '
-                        f'"type": "contact", "c": [{flags}]}}\n'))
-    for s in imu:
-        a0, a1, a2 = map(num, s.accel.tolist())
-        w0, w1, w2 = map(num, s.gyro.tolist())
-        records.append((s.timestamp, 2, f'{{"t": {num(s.timestamp)}, '
-                        f'"type": "imu", "a": [{a0}, {a1}, {a2}], '
-                        f'"w": [{w0}, {w1}, {w2}]}}\n'))
-    records.sort(key=lambda r: (r[0], r[1]))
+    cables = _time_ordered("cable", cables)
+    contacts = _time_ordered("contact", contacts)
+    imu = _imu_time_ordered(imu)
+
+    def cable_lines():
+        for c in cables:
+            lengths = ", ".join(f'"{i}-{j}": {num(v)}' for (i, j), v in
+                                zip(CABLE_PAIRS, c.lengths.tolist()))
+            yield (f'{{"t": {num(c.timestamp)}, '
+                   f'"type": "cable", "l": {{{lengths}}}}}\n')
+
+    def contact_lines():
+        for c in contacts:
+            flags = ", ".join("true" if f else "false" for f in c.flags)
+            yield (f'{{"t": {num(c.timestamp)}, '
+                   f'"type": "contact", "c": [{flags}]}}\n')
+
+    def imu_lines():
+        t, accel, gyro = imu.columns
+        for k in range(0, len(t), BLOCK):
+            rows = np.column_stack((t[k:k + BLOCK], accel[k:k + BLOCK],
+                                    gyro[k:k + BLOCK]))
+            for row in rows:   # a row's floats at a time, not a block's
+                yield _IMU_LINE.format(*map(num, row.tolist()))
+
+    kinds = _merge_order([c.timestamp for c in cables],
+                         [c.timestamp for c in contacts], imu.columns[0])
     header = {"type": "header", "version": __version__, "seed": seed,
               "config": dict(config or {})}
+    lines = cable_lines(), contact_lines(), imu_lines()
     with open(path, "w") as f:
         f.write(json.dumps(header) + "\n")
-        f.writelines(line for _, _, line in records)
+        f.writelines(next(lines[k]) for k in kinds)
+
+
+class SensorEvents:
+    """The records of a sensor log in file order: ImuSample,
+    CableMeasurements and ContactVector instances, iterated afresh on
+    each pass.  The IMU samples are the Stream imu over one (n, 7) float
+    array of t, accel and gyro rows, each built when it is read; cable
+    and contact records are kept as objects."""
+
+    __slots__ = ("imu", "_others", "_is_imu")
+
+    def __init__(self, imu, others, is_imu):
+        self.imu = imu
+        self._others = others      # cable and contact records, in order
+        self._is_imu = is_imu      # one byte per record, 1 for an IMU one
+
+    def __len__(self):
+        return len(self._is_imu)
+
+    def __iter__(self):
+        imu, others = iter(self.imu), iter(self._others)
+        return (next(imu) if k else next(others) for k in self._is_imu)
+
+    def count_imu_after(self, t):
+        """How many IMU records are stamped after t, counted on the
+        timestamp column without building the samples."""
+        return int(np.count_nonzero(self.imu.columns[0] > t))
 
 
 def read_sensor_log(path):
     """Parse a sensor log; returns (header, events).
 
-    Events are ImuSample / CableMeasurements / ContactVector instances
-    in file order.  Timestamps must be finite, timestamps and cable
-    lengths numbers (or numeric strings) rather than JSON booleans, IMU
-    fields three finite numbers each (no JSON booleans either) and
-    contact flags a list of six JSON booleans.
+    Events are a SensorEvents: ImuSample / CableMeasurements /
+    ContactVector instances in file order.  Timestamps must be finite,
+    timestamps and cable lengths numbers (or numeric strings) rather
+    than JSON booleans, IMU fields three finite numbers each (no JSON
+    booleans either) and contact flags a list of six JSON booleans.
     Malformed lines and backwards timestamps raise LogFormatError with
     the offending line number.
     """
     header = None
-    events = []
+    imu = bytearray()   # IMU records as rows of _IMU_ROW
+    others = []
+    is_imu = bytearray()
     last_t = -math.inf
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -164,28 +262,31 @@ def read_sensor_log(path):
                         f"{path}:{lineno}: timestamp moved backwards")
                 last_t = t
                 if kind == "imu":
-                    events.append(ImuSample._trusted(
-                        t, _finite3(rec["a"], "accel"),
-                        _finite3(rec["w"], "gyro")))
+                    imu += _IMU_ROW.pack(t, *_finite3(rec["a"], "accel"),
+                                         *_finite3(rec["w"], "gyro"))
                 elif kind == "cable":
-                    events.append(CableMeasurements(t, _cable_vector(rec["l"])))
+                    others.append(CableMeasurements(t, _cable_vector(rec["l"])))
                 elif kind == "contact":
                     c = rec["c"]
                     if type(c) is not list or len(c) != 6 or \
                             not all(type(x) is bool for x in c):
                         raise ValueError("contact flags must be a list of "
                                          "six booleans")
-                    events.append(ContactVector(t, c))
+                    others.append(ContactVector(t, c))
                 else:
                     raise LogFormatError(
                         f"{path}:{lineno}: unknown record type {kind!r}")
+                is_imu.append(kind == "imu")
             except LogFormatError:
                 raise
             except (KeyError, ValueError, TypeError, OverflowError) as err:
                 raise LogFormatError(f"{path}:{lineno}: invalid record ({err})")
     if header is None:
         raise LogFormatError(f"{path}: empty log")
-    return header, events
+    rows = np.frombuffer(imu, dtype=float).reshape(-1, 7)
+    return header, SensorEvents(
+        Stream(ImuSample._trusted, rows[:, 0], rows[:, 1:4], rows[:, 4:]),
+        others, bytes(is_imu))
 
 
 def _write_rows(f, n, rows, sep):

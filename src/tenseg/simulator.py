@@ -29,8 +29,9 @@ holds because
   * array `**` takes a vectorized pow that differs from the scalar
     pow() in the last bit, so powers go through Python floats (_pow).
 
-The ground-truth frames and the IMU samples are array-backed Streams:
-SimOutput keeps their stacked arrays, read-only, and builds each
+The ground-truth frames and the IMU samples are array-backed Streams
+(tenseg.inekf.Stream, which the sensor log reader shares): SimOutput
+keeps their stacked arrays, read-only, and builds each
 GroundTruthFrame or ImuSample when a caller reads it, as views of those
 arrays.
 
@@ -42,8 +43,6 @@ It adds the IMU noise to the stacked arrays.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +54,7 @@ from .inekf import (
     SIGMA_GYRO_BIAS,
     ContactVector,
     ImuSample,
+    Stream,
 )
 from .liegroup import SMALL_ANGLE, rotation_to_z, so3_exp
 from .shape import (
@@ -124,40 +124,6 @@ class GroundTruthFrame:
     rotation: np.ndarray
     velocity: np.ndarray
     position: np.ndarray
-
-
-class Stream(Sequence):
-    """Read-only sequence of samples held as stacked arrays.
-
-    columns are the arguments of make in order: an (n,) array of
-    timestamps, then arrays of n rows each.  Item k is make(t[k], rows[k]
-    of each column), built when it is read, with the timestamp as a
-    Python float and the rows as views; the arrays become read-only.
-    Nothing is checked: a caller of make=ImuSample._trusted checks
-    finiteness first.
-    """
-
-    __slots__ = ("_make", "columns")
-
-    def __init__(self, make, *columns):
-        for a in columns:
-            a.flags.writeable = False
-        self._make = make
-        self.columns = columns
-
-    def __len__(self):
-        return len(self.columns[0])
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Stream(self._make, *(a[k] for a in self.columns))
-        k = operator.index(k)
-        t, *rows = (a[k] for a in self.columns)
-        return self._make(t.item(), *rows)
-
-    def __iter__(self):
-        t, *rows = self.columns
-        return map(self._make, t.tolist(), *rows)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from tenseg.logio import (
     write_trajectory,
 )
 from tenseg.shape import CableMeasurements
+from tenseg.simulator import SimConfig, corrupt, generate
+from perfbench.workloads import WORKLOADS
 
 RNG = np.random.default_rng(13)
 
@@ -74,6 +76,65 @@ def test_sensor_log_is_time_ordered(tmp_path):
     _, events = read_sensor_log(path)
     times = [e.timestamp for e in events]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_sensor_log_written_again_from_its_events_is_identical(
+        tmp_path, workload, seed):
+    wl = WORKLOADS[workload]
+    noisy = corrupt(generate(SimConfig(**wl.sim)), seed=seed,
+                    cable_noise=wl.cable_noise, chatter=wl.chatter)
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    write_sensor_log(first, noisy.imu, noisy.cables, noisy.contacts, seed,
+                     wl.config)
+    header, events = read_sensor_log(first)
+    def of(kind):   # an iterator, which can be read once
+        return (e for e in events if isinstance(e, kind))
+
+    # the IMU samples as objects, not as the simulator's Stream
+    write_sensor_log(again, of(ImuSample), of(CableMeasurements),
+                     of(ContactVector), header["seed"], header["config"])
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_sensor_log_sorts_streams_out_of_time_order(tmp_path):
+    noisy = corrupt(generate(SimConfig(target_length=0.3, dwell=0.5,
+                                       final_dwell=0.2)), seed=2)
+    rng = np.random.default_rng(4)
+    # cable and contact records in random order, distinct records sharing
+    # timestamps among them, and the IMU Stream reversed
+    cables = [CableMeasurements(noisy.cables[k].timestamp,
+                                noisy.cables[k].lengths + 1e-3 * j)
+              for j, k in enumerate(rng.integers(len(noisy.cables), size=300))]
+    contacts = [ContactVector(noisy.contacts[k].timestamp, rng.random(6) < 0.5)
+                for k in rng.integers(len(noisy.contacts), size=300)]
+    shuffled, ordered = tmp_path / "shuffled.jsonl", tmp_path / "ordered.jsonl"
+    write_sensor_log(shuffled, noisy.imu[::-1], cables, contacts, 0)
+
+    def by_time(records):
+        return sorted(records, key=lambda r: r.timestamp)   # stable
+
+    write_sensor_log(ordered, noisy.imu, by_time(cables), by_time(contacts), 0)
+    assert shuffled.read_bytes() == ordered.read_bytes()
+
+
+@pytest.mark.parametrize("stream", ["imu", "cable", "contact"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_timestamp_is_refused_before_writing(tmp_path, stream, bad):
+    imu, cables, contacts = sample_streams()
+    if stream == "imu":
+        imu[1] = ImuSample(bad, imu[1].accel, imu[1].gyro)
+    elif stream == "cable":
+        cables[1] = CableMeasurements(bad, cables[1].lengths)
+    else:
+        contacts[1] = ContactVector(bad, contacts[1].flags)
+    path = tmp_path / "sensors.jsonl"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=rf"^{stream} record 1 has a "
+                                         rf"non-finite timestamp \({bad}\)$"):
+        write_sensor_log(path, imu, cables, contacts, 0)
+    assert path.read_text() == "kept\n"
 
 
 def test_sensor_log_bad_json_reports_line(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -557,7 +558,7 @@ def test_driver_warms_shape_until_calibration_end_then_follows_log_order(
         monkeypatch.setattr(ContactAidedFilter, "process_" + name, recorded)
     f = ContactAidedFilter.calibrated(events, 1.0)
     assert f.t_start == t_end
-    assert f.pose_count(events) == 59   # the samples run yields below
+    assert events.count_imu_after(f.t_start) == 59   # samples run yields below
     steps = f.run(events)
     assert next(steps).timestamp == t1
     # up to t_end only cable frames count, and they warm the shape; after
@@ -566,6 +567,45 @@ def test_driver_warms_shape_until_calibration_end_then_follows_log_order(
                      ("cables", t_next, t_end), ("contacts", t_next, t_next),
                      ("cables", t1, t_next), ("contacts", t1, t1), ("imu", t1, t1)]
     assert len(list(steps)) == 58
+
+
+def test_calibrated_reads_events_only_to_the_end_of_its_window():
+    imu = static_samples(400)
+    window_end = imu[0].timestamp + 1.0
+
+    def events():
+        yield stance_cables(0.0)
+        for s in imu:
+            yield s
+            if s.timestamp > window_end:
+                break
+        raise AssertionError("read past the first sample after the window")
+
+    f = ContactAidedFilter.calibrated(events(), 1.0)
+    assert f.t_start == max(s.timestamp for s in imu
+                            if s.timestamp <= window_end)
+
+
+def test_sensor_events_count_imu_without_building_samples(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "sensors.jsonl"
+    write_sensor_log(path, static_samples(260), [], [], 0)
+    _, events = read_sensor_log(path)
+    f = ContactAidedFilter.calibrated(events, 1.0)
+    expected = len(list(f.run(events)))
+
+    def forbidden(*args):
+        raise AssertionError("an IMU sample was built")
+
+    monkeypatch.setattr(events.imu, "_make", forbidden)
+    assert events.count_imu_after(f.t_start) == expected == 59
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_calibrated_refuses_non_positive_or_non_finite_duration(duration):
+    with pytest.raises(ValueError, match="calibration duration must be "
+                                         "positive and finite"):
+        ContactAidedFilter.calibrated(static_samples(400), duration)
 
 
 def test_calibrated_needs_imu_samples():

@@ -11,9 +11,11 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from tenseg import cli, inekf, logio
 from tenseg.simulator import SimConfig, corrupt, generate
+from perfbench.workloads import WORKLOADS
 
 
 @contextlib.contextmanager
@@ -79,21 +81,55 @@ def test_estimate_keeps_poses_in_three_arrays(tmp_path, monkeypatch):
     assert seen["end"] - seen["start"] < 64 * 1024
 
 
+# the benchmark workload whose streams the bounds below are set on
+TURN_IMU1K = WORKLOADS["turn_imu1k"]
+
+
 def test_simulator_keeps_no_per_sample_objects():
-    # the turn_imu1k benchmark workload (perfbench/workloads.py): 4801
-    # ground-truth frames and two sets of 4800 IMU samples, about 6.1 MB
-    # as objects, against about 0.6 MB of stacked arrays
-    cfg = SimConfig(maneuver="right_turn", target_length=1.2, dwell=1.6,
-                    final_dwell=0.2, imu_rate=1000.0)
-    # a first call pays for numpy.random's one-time allocations
+    # 4801 ground-truth frames and two sets of 4800 IMU samples, about
+    # 6.1 MB as objects, against about 0.6 MB of stacked arrays; a first
+    # call pays for numpy.random's one-time allocations
     corrupt(generate(SimConfig(target_length=0.3)), seed=1, chatter=0.01)
     with tracing():
         base = tracemalloc.get_traced_memory()[0]
-        sim = generate(cfg)
-        noisy = corrupt(sim, seed=11, chatter=0.01)
+        sim = generate(SimConfig(**TURN_IMU1K.sim))
+        noisy = corrupt(sim, seed=11, chatter=TURN_IMU1K.chatter)
         kept = tracemalloc.get_traced_memory()[0] - base
     assert len(sim.frames) == 4801 and len(noisy.imu) == 4800
     assert kept <= 2 * 2**20
+
+
+@pytest.fixture(scope="module")
+def turn_imu1k_log(tmp_path_factory):
+    noisy = corrupt(generate(SimConfig(**TURN_IMU1K.sim)), seed=11,
+                    chatter=TURN_IMU1K.chatter)
+    path = tmp_path_factory.mktemp("turn_imu1k") / "sensors.jsonl"
+    logio.write_sensor_log(path, noisy.imu, noisy.cables, noisy.contacts, 11)
+    return noisy, path
+
+
+def test_write_sensor_log_holds_no_line_per_record(turn_imu1k_log):
+    # every record's line held at once, as a sorted list, takes about 2 MB
+    noisy, path = turn_imu1k_log
+    with tracing():
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        logio.write_sensor_log(path, noisy.imu, noisy.cables, noisy.contacts,
+                               11)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    assert peak <= 256 * 1024
+
+
+def test_read_sensor_log_keeps_imu_records_in_one_array(turn_imu1k_log):
+    # 4800 IMU records as ImuSample objects take about 1.6 MB; as rows of
+    # one float array, 0.27 MB beside the 481 cable and 481 contact objects
+    noisy, path = turn_imu1k_log
+    with tracing():
+        base = tracemalloc.get_traced_memory()[0]
+        _, events = logio.read_sensor_log(path)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    assert len(events) == 4800 + 481 + 481
+    assert kept <= 0.6 * 2**20
 
 
 def test_pipeline_leaves_numpy_ma_unloaded(tmp_path):

@@ -36,6 +36,7 @@ from tenseg.simulator import (
     generate,
     terrain_height,
 )
+from perfbench.workloads import WORKLOADS
 
 SIM = generate(SimConfig(maneuver="forward"))
 SHORT = SimConfig(maneuver="forward", target_length=1.5)
@@ -385,11 +386,9 @@ def _ref_streams(cfg):
     SimConfig(terrain="valley", target_length=2.0, dwell=0.5, final_dwell=0.2),
     SimConfig(maneuver="backward", target_length=0.6, dwell=0.5,
               final_dwell=0.2),
-    # the benchmark workloads (perfbench/workloads.py)
-    SimConfig(maneuver="right_turn", target_length=1.2, dwell=1.6,
-              final_dwell=0.2, imu_rate=1000.0),
-    SimConfig(maneuver="forward", target_length=1.0, dwell=1.2,
-              final_dwell=0.0, pivot_duration=0.75, cable_rate=20.0),
+    # the benchmark workloads
+    SimConfig(**WORKLOADS["turn_imu1k"].sim),
+    SimConfig(**WORKLOADS["jacobian_fk"].sim),
     # every pivot starts on a sample of each grid, where tau = 0 takes
     # so3_exp's small-angle branch
     SimConfig(maneuver="forward", target_length=1.5, dwell=0.5,

@@ -7,11 +7,14 @@ in this process through perfbench.run.run_round itself, untraced, and gives
 the first round's outputs perfbench's output checks, as the benchmark does.
 Shims note the process's peak RSS so far (`ru_maxrss`, the figure behind
 the benchmark's `peak_rss_mb`) after each call of perfbench's `simulate`
-and of tenseg.cli.main (estimate, evaluate), and, inside the simulate
-phase, after each of the four calls it makes: simulator.generate,
-simulator.corrupt, logio.write_sensor_log and logio.write_trajectory.  So
-a change in `peak_rss_mb` can be traced to the call that moved it.
-Outputs go to a temporary directory.
+and of tenseg.cli.main (estimate, evaluate); inside the simulate phase,
+after each of the four calls it makes: simulator.generate,
+simulator.corrupt, logio.write_sensor_log and logio.write_trajectory;
+and inside the estimate phase, after the CLI's read_sensor_log, so that
+the estimate row splits into the log read (the read_sensor_log row) and
+the filter run with the pose output (the estimate row).  So a change in
+`peak_rss_mb` can be traced to the call that moved it.  Outputs go to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 from tenseg import cli, logio, simulator  # noqa: E402
 
 # Each call is a phase named after the function; cli.main's phase is its
-# command (estimate, evaluate).  The last four are the calls perfbench's
-# `simulate` makes; cli binds its own logio names, so patching logio's
-# catches only those.
+# command (estimate, evaluate).  The four simulator and logio calls are
+# the ones perfbench's `simulate` makes; cli binds its own logio names, so
+# patching logio's catches only those, and read_sensor_log is patched
+# where cmd_estimate looks it up.
 NOTED = ((bench, "simulate"), (cli, "main"),
          (simulator, "generate"), (simulator, "corrupt"),
-         (logio, "write_sensor_log"), (logio, "write_trajectory"))
+         (logio, "write_sensor_log"), (logio, "write_trajectory"),
+         (cli, "read_sensor_log"))
 
 
 def peak_rss_mb():
