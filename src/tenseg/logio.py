@@ -113,13 +113,19 @@ def _time_ordered(name, records):
 
 def _imu_time_ordered(imu):
     """imu, a Stream or an iterable of ImuSamples, as a Stream in stable
-    time order; samples are stacked into its columns."""
+    time order; samples are stacked into its columns.  A NaN or infinite
+    timestamp or reading raises ValueError naming the record's index."""
     if not isinstance(imu, Stream):
         imu = tuple(imu)
         imu = Stream(ImuSample._trusted,
                      np.array([s.timestamp for s in imu], dtype=float),
                      np.array([s.accel for s in imu]).reshape(-1, 3),
                      np.array([s.gyro for s in imu]).reshape(-1, 3))
+    _, accel, gyro = imu.columns
+    finite = np.isfinite(accel).all(axis=1) & np.isfinite(gyro).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"imu record {k} has a non-finite reading")
     order = _stable_order("imu", imu.columns[0])
     if order is None:
         return imu
@@ -136,8 +142,13 @@ def _merge_order(*timestamps):
     return kinds[order].tobytes()
 
 
-_IMU_LINE = ('{{"t": {}, "type": "imu", "a": [{}, {}, {}], '
-             '"w": [{}, {}, {}]}}\n')
+# One record's line as json.dumps writes it.  %r of a Python float is
+# float.__repr__, json's form of a finite float; the non-finite ones are
+# refused (IMU) or formatted by _json_float (cable), so a line costs one
+# %-format.  The cable template's %s gives a float's repr as well.
+_IMU_LINE = '{"t": %r, "type": "imu", "a": [%r, %r, %r], "w": [%r, %r, %r]}\n'
+_CABLE_LINE = '{"t": %s, "type": "cable", "l": {' + ", ".join(
+    f'"{i}-{j}": %s' for i, j in CABLE_PAIRS) + '}}\n'
 # a read IMU record: t, accel, gyro
 _IMU_ROW = struct.Struct("7d")
 
@@ -151,7 +162,8 @@ def write_sensor_log(path, imu, cables, contacts, seed, config=None):
     floats.  The streams are iterables (imu a Stream or ImuSamples); a
     stream out of time order is sorted first, stably.  Lines are written
     as they are made, none held for the whole file.  A NaN or infinite
-    timestamp raises ValueError before the file is opened.
+    timestamp, or IMU reading, raises ValueError before the file is
+    opened.
     """
     num = _json_float
     cables = _time_ordered("cable", cables)
@@ -160,10 +172,10 @@ def write_sensor_log(path, imu, cables, contacts, seed, config=None):
 
     def cable_lines():
         for c in cables:
-            lengths = ", ".join(f'"{i}-{j}": {num(v)}' for (i, j), v in
-                                zip(CABLE_PAIRS, c.lengths.tolist()))
-            yield (f'{{"t": {num(c.timestamp)}, '
-                   f'"type": "cable", "l": {{{lengths}}}}}\n')
+            lengths = c.lengths.tolist()
+            if not math.isfinite(sum(lengths)):   # NaN/Infinity as json's
+                lengths = map(num, lengths)
+            yield _CABLE_LINE % (num(c.timestamp), *lengths)
 
     def contact_lines():
         for c in contacts:
@@ -174,10 +186,8 @@ def write_sensor_log(path, imu, cables, contacts, seed, config=None):
     def imu_lines():
         t, accel, gyro = imu.columns
         for k in range(0, len(t), BLOCK):
-            rows = np.column_stack((t[k:k + BLOCK], accel[k:k + BLOCK],
-                                    gyro[k:k + BLOCK]))
-            for row in rows:   # a row's floats at a time, not a block's
-                yield _IMU_LINE.format(*map(num, row.tolist()))
+            yield from _formatted(_IMU_LINE, t[k:k + BLOCK],
+                                  accel[k:k + BLOCK], gyro[k:k + BLOCK])
 
     kinds = _merge_order([c.timestamp for c in cables],
                          [c.timestamp for c in contacts], imu.columns[0])
@@ -186,7 +196,18 @@ def write_sensor_log(path, imu, cables, contacts, seed, config=None):
     lines = cable_lines(), contact_lines(), imu_lines()
     with open(path, "w") as f:
         f.write(json.dumps(header) + "\n")
-        f.writelines(next(lines[k]) for k in kinds)
+        f.writelines(map(next, map(lines.__getitem__, kinds)))
+
+
+def _formatted(template, *columns):
+    """template % row for each row of the side-by-side float columns, one
+    (m,) or (m, j) array each, as an iterator of lines made one at a
+    time.  The columns' floats are converted to Python floats first, so
+    each %r is float.__repr__."""
+    values = []
+    for a in columns:
+        values += [a.tolist()] if a.ndim == 1 else a.T.tolist()
+    return map(template.__mod__, zip(*values))
 
 
 class SensorEvents:
@@ -293,10 +314,11 @@ def _write_rows(f, n, rows, sep):
     """Write n rows of floats, each its floats' reprs joined by sep;
     rows(k, m) gives rows k to m as a 2-D array.  Rows are converted a
     block at a time, which bounds the memory the conversion adds to the
-    caller's data."""
+    caller's data, and each line is one %r row template."""
     for k in range(0, n, BLOCK):
-        f.writelines(sep.join(map(float.__repr__, row)) + "\n"
-                     for row in rows(k, k + BLOCK).tolist())
+        block = rows(k, k + BLOCK)
+        f.writelines(_formatted(sep.join(["%r"] * block.shape[1]) + "\n",
+                                block))
 
 
 def write_trajectory(path, timestamps, positions, rotations):

@@ -126,6 +126,28 @@ class GroundTruthFrame:
     position: np.ndarray
 
 
+def _frame_maker():
+    """GroundTruthFrame._trusted(timestamp, rotation, velocity, position):
+    a frame of the given values, unchecked, as a Stream builds one.  Each
+    slot is set through its descriptor, which skips the generated
+    __init__ and its object.__setattr__ calls; the frame stays frozen."""
+    new = object.__new__
+    set_t, set_R, set_v, set_p = (getattr(GroundTruthFrame, name).__set__
+                                  for name in GroundTruthFrame.__slots__)
+
+    def trusted(timestamp, rotation, velocity, position):
+        frame = new(GroundTruthFrame)
+        set_t(frame, timestamp)
+        set_R(frame, rotation)
+        set_v(frame, velocity)
+        set_p(frame, position)
+        return frame
+    return staticmethod(trusted)
+
+
+GroundTruthFrame._trusted = _frame_maker()
+
+
 @dataclass(frozen=True)
 class SimOutput:
     config: SimConfig
@@ -242,6 +264,10 @@ def _landing_angle(cfg, verts, o, axis, exclude):
         if clearance(hi) <= 0.0:
             for _ in range(80):
                 mid = 0.5 * (theta + hi)
+                if mid == theta or mid == hi:
+                    # every later step keeps the midpoint, which the
+                    # 80 steps would then return
+                    return mid
                 if clearance(mid) <= 0.0:
                     hi = mid
                 else:
@@ -365,19 +391,23 @@ def generate(cfg: SimConfig = None) -> SimOutput:
     k = np.arange(n_frames + 1)
     t = k / cfg.imu_rate
     R, p, v, _ = _poses(segs, t)
-    frames = Stream(GroundTruthFrame, t, R, v, p)
+    frames = Stream(GroundTruthFrame._trusted, t, R, v, p)
 
     # angular rate at the interval midpoint; specific force consistent
     # with the velocity increment over the interval, expressed in the
     # start-of-interval body frame (ideal integrating sensor outputs).
-    # k * dt and k / imu_rate may differ in the last bit, so the interval
-    # ends get their own poses rather than the frames'.
+    # The interval ends k * dt take the frames' poses where they equal
+    # k / imu_rate bit for bit, and their own poses where they differ in
+    # the last bit.
     dt = 1.0 / cfg.imu_rate
-    R_end, _, v_end, _ = _poses(segs, k * dt)
+    tk = k * dt
+    R_end, v_end = R.copy(), v.copy()
+    off = np.flatnonzero(tk != t)
+    R_end[off], _, v_end[off], _ = _poses(segs, tk[off])
     R_mid, _, _, omega = _poses(segs, (k[1:] - 0.5) * dt)
     accel = _in_body(R_end[:-1], (v_end[1:] - v_end[:-1]) / dt - GRAVITY)
     gyro = _in_body(R_mid, omega)
-    imu = _imu_stream(k[1:] * dt, accel, gyro)
+    imu = _imu_stream(tk[1:], accel, gyro)
 
     lengths = RobotShape(0.0, q).cable_lengths()
     cables = tuple(CableMeasurements(j / cfg.cable_rate, lengths)

@@ -30,6 +30,7 @@ from tenseg.logio import (
     LogFormatError,
     read_sensor_log,
     read_trajectory,
+    write_errors,
     write_sensor_log,
     write_trajectory,
 )
@@ -89,6 +90,13 @@ def ref_write_trajectory(path, timestamps, positions, rotations):
         for t, p, R in zip(timestamps, positions, rotations):
             vals = [t, p[0], p[1], p[2], *ref_quat_from_matrix(R)]
             f.write(" ".join(repr(float(v)) for v in vals) + "\n")
+
+
+def ref_write_errors(path, timestamps, errors):
+    with open(path, "w") as f:
+        f.write("t,ex,ey,ez\n")
+        for t, e in zip(timestamps, errors):
+            f.write(",".join(repr(float(v)) for v in (t, *e)) + "\n")
 
 
 def ref_read_trajectory(path):
@@ -317,6 +325,38 @@ def test_write_trajectory_matches_reference(tmp_path):
         assert ours.read_bytes() == ref.read_bytes()
 
 
+# floats whose text needs care: non-finite, a signed zero, the smallest
+# subnormal, and the two sides of repr's switch to exponent form
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+def edge_rows(n, width, seed):
+    """(n, width) random floats of many magnitudes, about a third of them
+    replaced by EDGE_FLOATS."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, width)) * 10.0 ** rng.integers(
+        -20, 20, size=(n, width))
+    edge = rng.random(size=(n, width)) < 0.3
+    rows[edge] = rng.choice(EDGE_FLOATS, size=int(edge.sum()))
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_row_writers_at_block_edges_match_reference(tmp_path, n):
+    rows = edge_rows(n, 4, seed=n)
+    rows[:len(EDGE_FLOATS), 1] = EDGE_FLOATS[:n]   # each at least once
+    Rs = np.array(ROTATIONS[:n]).reshape(n, 3, 3)
+    for write, ref, args in (
+            (write_trajectory, ref_write_trajectory,
+             (rows[:, 0], rows[:, 1:], Rs)),
+            (write_errors, ref_write_errors, (rows[:, 0], rows[:, 1:]))):
+        ours, want = tmp_path / "ours.txt", tmp_path / "ref.txt"
+        write(ours, *args)
+        ref(want, *args)
+        assert ours.read_bytes() == want.read_bytes()
+        assert len(ours.read_text().splitlines()) == n + (write is write_errors)
+
+
 def test_read_trajectory_matches_reference(tmp_path):
     rng = np.random.default_rng(19)
     n = len(ROTATIONS)
@@ -463,6 +503,43 @@ def test_write_sensor_log_matches_reference(tmp_path):
     write_sensor_log(ours, [], [], [], 0)
     ref_write_sensor_log(ref, [], [], [], 0)
     assert ours.read_bytes() == ref.read_bytes()
+
+
+def stacked(imu):
+    """The columns of a Stream of the ImuSamples imu, as fresh arrays."""
+    return (np.array([s.timestamp for s in imu]),
+            np.array([s.accel for s in imu]), np.array([s.gyro for s in imu]))
+
+
+def test_write_sensor_log_of_a_stream_matches_reference(tmp_path):
+    # one block and one row of IMU samples, given as a Stream
+    imu, cables, contacts = streams(np.random.default_rng(41), n=BLOCK + 1)
+    t, accel, gyro = stacked(imu)
+    accel[2:6] = gyro[6:10] = [[-0.0, 5e-324, 1e16], [1e-5, -1e-5, 1e-320],
+                               [1e308, -1e308, 0.0], [1e15, 1e17, 1e-4]]
+    stream = Stream(ImuSample._trusted, t, accel, gyro)
+    # finite lengths whose sum overflows
+    cables[5] = CableMeasurements(cables[5].timestamp, [1e308] * 9)
+    ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+    write_sensor_log(ours, stream, cables, contacts, 5, {"imu_rate": "200"})
+    ref_write_sensor_log(ref, stream, cables, contacts, 5, {"imu_rate": "200"})
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [1, 2])
+def test_write_sensor_log_refuses_non_finite_imu_before_opening(
+        tmp_path, bad, column):
+    # the json text NaN or Infinity would be refused on reading, exit 2
+    imu, cables, contacts = streams(np.random.default_rng(43))
+    columns = stacked(imu)
+    columns[column][7, 2] = bad
+    path = tmp_path / "sensors.jsonl"
+    with pytest.raises(ValueError,
+                       match="imu record 7 has a non-finite reading"):
+        write_sensor_log(path, Stream(ImuSample._trusted, *columns), cables,
+                         contacts, 0)
+    assert not path.exists()
 
 
 def test_read_sensor_log_matches_reference(tmp_path):
